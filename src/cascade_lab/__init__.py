@@ -23,6 +23,7 @@ from .model import (
 )
 from .children import (
     ChildrenPmf,
+    OffspringLaw,
     SizeBiasedPmf,
     build_children,
     check_vulnerability_scaling,
@@ -30,6 +31,7 @@ from .children import (
     children_distribution_infected,
     inter_cs_infection_prob,
     internal_vulnerability,
+    offspring_laws,
 )
 from .branching import (
     MeanMatrix,

@@ -4,35 +4,33 @@ The failure process is a branching process over ``2n`` agent types. Its mean
 matrix collects the expected children counts per type; the process can
 sustain an epidemic iff the spectral radius exceeds 1, and the per-type
 die-out probabilities form the minimal fixed point of the offspring
-generating functions, reached by monotone iteration from zero.
+generating functions, reached by monotone iteration from zero. Both work on
+any sequence of laws with ``n_types``, ``origin_type``, ``mean()`` and
+``gf(s)``: the closed-form ``OffspringLaw``s, or enumerated ``ChildrenPmf``s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .children import ChildrenPmf, build_children
+from .children import CHILDREN_MASS_TOL, ChildrenPmf, offspring_laws
 from .model import SystemModel
+from .pmf import pgf
 
 # Entries below this are treated as structural zeros by the regularity check.
 STRUCTURAL_ZERO = 1e-15
 # Half-width of the band around spectral radius 1 treated as critical.
 CRITICAL_BAND = 1e-9
+# A generating function on [0, 1] is at most its law's total mass, at most
+# 1 + CHILDREN_MASS_TOL; the other half of the slack absorbs rounding.
+ITERATE_SLACK = 2 * CHILDREN_MASS_TOL
 
 SUBCRITICAL = "subcritical"
 CRITICAL = "critical"
 SUPERCRITICAL = "supercritical"
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge; carries the trailing estimates."""
-
-    def __init__(self, message: str, history: list[float]):
-        super().__init__(message)
-        self.history = history
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,77 +115,45 @@ def is_positively_regular(m: MeanMatrix | np.ndarray) -> bool:
     return bool(power.all())
 
 
-def spectral_radius(
-    m: MeanMatrix | np.ndarray,
-    rtol: float = 1e-10,
-    max_iter: int = 100_000,
-) -> float:
-    """Spectral radius of a nonnegative matrix by power iteration.
-
-    Starts from the all-ones vector. While the iterate stays strictly
-    positive the Collatz-Wielandt ratios bracket the radius and the bracket
-    width is the stopping test; otherwise successive norm-growth estimates
-    are compared. Raises PowerIterationError with the trailing estimates if
-    neither test converges within ``max_iter`` iterations.
-    """
+def spectral_radius(m: MeanMatrix | np.ndarray) -> float:
+    """Spectral radius of a nonnegative matrix: the largest eigenvalue
+    modulus. Exact up to rounding for periodic matrices too."""
     values = m.values if isinstance(m, MeanMatrix) else np.asarray(m, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError("matrix must be square")
     if np.any(values < 0):
         raise ValueError("matrix must be nonnegative")
-    x = np.ones(values.shape[0])
-    estimate = 0.0
-    history: list[float] = []
-    for _ in range(max_iter):
-        y = values @ x
-        norm = float(y.sum())
-        if norm == 0.0:
-            return 0.0
-        if np.all(x > 0.0):
-            ratios = y / x
-            lo, hi = float(ratios.min()), float(ratios.max())
-            if hi - lo <= rtol * max(hi, 1e-300):
-                return 0.5 * (lo + hi)
-        new_estimate = norm / float(x.sum())
-        history.append(new_estimate)
-        if len(history) > 12:
-            history.pop(0)
-        if abs(new_estimate - estimate) <= rtol * max(abs(new_estimate), 1e-300) and len(
-            history
-        ) >= 3:
-            return new_estimate
-        estimate = new_estimate
-        x = y / norm
-    raise PowerIterationError(
-        f"power iteration did not converge in {max_iter} iterations", history
-    )
+    return float(np.max(np.abs(np.linalg.eigvals(values))))
 
 
 def evaluate_generating_function(h: ChildrenPmf, s: np.ndarray) -> float:
     """Probability generating function of the children vector at ``s``,
     with the convention 0**0 == 1."""
     s = np.asarray(s, dtype=np.float64)
-    if s.shape != (h.n_types,):
-        raise ValueError(f"argument must have length {h.n_types}")
-    if np.any(s < -1e-12) or np.any(s > 1.0 + 1e-12):
-        raise ValueError("generating function argument must lie in [0, 1]")
-    s = np.clip(s, 0.0, 1.0)
-    return float(h.mass @ np.prod(s ** h.support, axis=1))
+    if s.shape != (h.n_types,) or np.any(s < -1e-12) or np.any(s > 1.0 + 1e-12):
+        raise ValueError(f"argument must be a point of [0, 1]^{h.n_types}")
+    return float(h.gf(np.clip(s, 0.0, 1.0)))
+
+
+def _gf_map(children: Sequence[ChildrenPmf]) -> Callable[[np.ndarray], np.ndarray]:
+    """The generating map s -> (f_t(s))_t of a sequence of laws, as one
+    ``pgf`` call on their supports stacked into a (types, rows, types) array;
+    the padding rows of shorter laws carry no mass."""
+    n_rows = max(h.support.shape[0] for h in children)
+    n_types = children[0].n_types
+    support = np.zeros((len(children), n_rows, n_types), dtype=np.int64)
+    mass = np.zeros((len(children), n_rows))
+    thinning = np.empty((len(children), 1, n_types))
+    for t, h in enumerate(children):
+        support[t, : h.support.shape[0]] = h.support
+        mass[t, : h.mass.shape[0]] = h.mass
+        thinning[t, 0] = h.thinning
+    keep = 1.0 - thinning
+    return lambda s: pgf(support, mass, keep + thinning * s)
 
 
 def _gf_vector(children: Sequence[ChildrenPmf], s: np.ndarray) -> np.ndarray:
-    return np.array(
-        [float(h.mass @ np.prod(s ** h.support, axis=1)) for h in children]
-    )
-
-
-def _is_degenerate_single_child(children: Sequence[ChildrenPmf]) -> bool:
-    """True iff every type produces exactly one child with probability one."""
-    for h in children:
-        totals = h.support.sum(axis=1)
-        if abs(float(h.mass[totals == 1].sum()) - 1.0) > 1e-12:
-            return False
-    return True
+    return _gf_map(children)(s)
 
 
 @dataclass(frozen=True)
@@ -245,7 +211,8 @@ def solve_extinction(
     non-degenerate offspring law the answer is the all-ones vector and the
     iteration, which would stall, is skipped.
     """
-    rho = spectral_radius(mean_matrix(children))
+    mm = mean_matrix(children)
+    rho = spectral_radius(mm)
     if rho > 1.0 + CRITICAL_BAND:
         regime = SUPERCRITICAL
     elif rho < 1.0 - CRITICAL_BAND:
@@ -253,7 +220,11 @@ def solve_extinction(
     else:
         regime = CRITICAL
     n_types = children[0].n_types
-    if regime == CRITICAL and not _is_degenerate_single_child(children):
+    gf_map = _gf_map(children)
+    # Exactly one child a.s. iff no mass on zero children and one in mean.
+    no_zero = np.all(gf_map(np.zeros(n_types)) <= 1e-12)
+    single_child = no_zero and np.all(np.abs(mm.values.sum(axis=1) - 1.0) <= 1e-12)
+    if regime == CRITICAL and not single_child:
         return PoEVector(
             values=np.ones(n_types),
             spectral_radius_value=rho,
@@ -265,10 +236,12 @@ def solve_extinction(
     s = np.zeros(n_types)
     residual = np.inf
     for iteration in range(1, max_iter + 1):
-        s_next = _gf_vector(children, s)
-        if __debug__:
-            assert np.all(s_next >= s - 1e-15), "fixed-point iteration not monotone"
-            assert np.all(s_next <= 1.0 + 1e-12), "fixed-point iterate escaped [0, 1]"
+        s_next = gf_map(s)
+        if np.any(s_next > 1.0 + ITERATE_SLACK):
+            raise RuntimeError("fixed-point iterate escaped [0, 1]")
+        s_next = np.minimum(s_next, 1.0)
+        if np.any(s_next < s - 1e-15):
+            raise RuntimeError("fixed-point iteration not monotone")
         residual = float(np.max(np.abs(s_next - s)))
         s = s_next
         if residual < tol:
@@ -294,7 +267,7 @@ def extinction_probabilities(
     model: SystemModel, tol: float = 1e-12, max_iter: int = 1_000_000
 ) -> PoEVector:
     """Die-out probabilities of the cascade seeded in each type of ``model``."""
-    return solve_extinction(build_children(model), tol=tol, max_iter=max_iter)
+    return solve_extinction(offspring_laws(model), tol=tol, max_iter=max_iter)
 
 
 def cascade_probability(model: SystemModel, seed_cs: int, tol: float = 1e-12) -> float:

@@ -6,15 +6,16 @@ neighbors are all still up; type ``n + i`` is a CS-i agent brought down by an
 internal neighbor. A failing agent of either CS-i type produces children only
 of types ``{j : j != i, j < n}`` (external, fresh) and ``n + i`` (internal).
 
-The fresh law thins each coordinate of the degree vector with an independent
-binomial: coordinate j with the transmission probability ``q[i, j]`` and the
-internal coordinate with the probability that a randomly chosen internal
-neighbor is vulnerable (computed from the size-biased internal degree law and
-the vulnerability profile). The internally-infected law first removes the one
-internal neighbor that did the infecting, replacing the internal potential
-count D by max(D - 1, 0); when the internal-degree floor holds this is exactly
-the shifted joint law, and it stays a probability distribution when the floor
-is lifted.
+An ``OffspringLaw`` is the closed form: the degree pmf as potential children
+and an independent binomial thinning per coordinate, with the transmission
+probability ``q[i, j]`` externally and internally the probability that a
+randomly chosen internal neighbor is vulnerable (size-biased internal degree
+law averaged against the vulnerability profile). The internally-infected law
+first removes the one internal neighbor that did the infecting, replacing the
+internal potential count D by max(D - 1, 0); when the internal-degree floor
+holds this is exactly the shifted joint law, and it stays a probability
+distribution when the floor is lifted. ``build_children`` enumerates the laws
+into explicit ``ChildrenPmf`` tables for sampling and inspection.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .model import SystemModel, VulnerabilityProfile
-from .pmf import JointPmf, MarginalPmf, PmfError, _frozen
+from .model import ProfileCoverageError, SystemModel, VulnerabilityProfile
+from .pmf import MarginalPmf, PmfError, _frozen, pgf
 
 # ChildrenPmf masses come out of float convolutions; unit-mass tolerance.
 CHILDREN_MASS_TOL = 1e-10
@@ -63,10 +64,7 @@ class SizeBiasedPmf:
         if mean <= 0.0:
             raise ZeroInternalDegreeError("marginal has zero mean degree")
         keep = weights > 0.0
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "support", _frozen(p.support[keep].copy()))
-        object.__setattr__(obj, "mass", _frozen(weights[keep] / mean))
-        return obj
+        return cls(_frozen(p.support[keep].copy()), _frozen(weights[keep] / mean))
 
     def expectation(self, fn: Callable[[int], float]) -> float:
         return float(sum(m * fn(int(d)) for d, m in zip(self.support, self.mass)))
@@ -84,6 +82,7 @@ class ChildrenPmf:
     n_systems: int
     support: np.ndarray
     mass: np.ndarray
+    thinning = 1.0  # class attribute: enumerated laws are thinned with probability one
 
     def __post_init__(self):
         support = np.asarray(self.support, dtype=np.int64)
@@ -126,6 +125,10 @@ class ChildrenPmf:
     def mean(self) -> np.ndarray:
         """Expected children count per type (one row of the mean matrix)."""
         return self.mass @ self.support.astype(np.float64)
+
+    def gf(self, s) -> np.ndarray:
+        """Generating function of the children vector (see ``pgf``)."""
+        return pgf(self.support, self.mass, s)
 
     def prob(self, vec) -> float:
         vec = np.asarray(vec, dtype=np.int64)
@@ -180,97 +183,102 @@ def inter_cs_infection_prob(
 
 
 def _binomial_row(n: int, q: float) -> np.ndarray:
-    """Pmf of Binomial(n, q) on 0..n."""
-    if q >= 1.0:
-        row = np.zeros(n + 1)
-        row[n] = 1.0
-        return row
-    if q <= 0.0:
-        row = np.zeros(n + 1)
-        row[0] = 1.0
-        return row
-    return np.array(
-        [math.comb(n, k) * q**k * (1.0 - q) ** (n - k) for k in range(n + 1)]
-    )
+    """Pmf of Binomial(n, q) on 0..n (exact at q = 0 and q = 1)."""
+    return np.array([math.comb(n, k) * q**k * (1.0 - q) ** (n - k) for k in range(n + 1)])
 
 
 def thinning_probabilities(model: SystemModel, cs: int) -> np.ndarray:
     """Per-coordinate infection probabilities for a failing CS-``cs`` agent:
     the transmission matrix off the diagonal, the size-biased vulnerability
     average on it."""
-    n = model.n_systems
-    probs = np.empty(n)
-    for j in range(n):
-        if j == cs:
-            probs[j] = internal_vulnerability(
-                model.internal_marginal(cs), model.vulnerability[cs]
-            )
-        else:
-            probs[j] = float(model.infection[cs, j])
+    probs = np.clip(model.infection[cs], 0.0, 1.0)
+    probs[cs] = internal_vulnerability(model.internal_marginal(cs), model.vulnerability[cs])
     return probs
 
 
-def _thinned_children(
-    joint: JointPmf, cs: int, n: int, probs: np.ndarray, drop_internal: bool
-) -> dict[tuple, float]:
-    acc: dict[tuple, float] = {}
-    for d_vec, m in zip(joint.support, joint.mass):
-        if m == 0.0:
-            continue
-        d = d_vec.copy()
-        if drop_internal:
-            d[cs] = max(int(d[cs]) - 1, 0)
-        rows = [_binomial_row(int(d[j]), probs[j]) for j in range(n)]
-        for combo in product(*(range(int(d[j]) + 1) for j in range(n))):
-            weight = float(m)
-            for j, k in enumerate(combo):
-                weight *= rows[j][k]
-            if weight == 0.0:
+@dataclass(frozen=True, eq=False)
+class OffspringLaw:
+    """Offspring law of one agent type in closed form: ``support``/``mass``
+    is the law of the potential-children vector over the ``2 * n_systems``
+    types, and ``thinning[j]`` the probability that a type-j potential child
+    fails. The children vector is its coordinatewise binomial thinning."""
+
+    origin_type: int
+    n_systems: int
+    support: np.ndarray
+    mass: np.ndarray
+    thinning: np.ndarray
+
+    @property
+    def n_types(self) -> int:
+        return 2 * self.n_systems
+
+    def gf(self, s) -> np.ndarray:
+        """Generating function of the children vector: the potential-children
+        generating function at 1 - thinning + thinning * s."""
+        return pgf(self.support, self.mass, 1.0 - self.thinning + self.thinning * s)
+
+    def mean(self) -> np.ndarray:
+        """Expected children count per type (one row of the mean matrix)."""
+        return self.thinning * (self.mass @ self.support.astype(np.float64))
+
+    def children(self) -> ChildrenPmf:
+        """Enumerate the thinned law into an explicit children table."""
+        acc: dict[tuple, float] = {}
+        for d, m in zip(self.support, self.mass):
+            if m == 0.0:
                 continue
-            o = [0] * (2 * n)
-            for j, k in enumerate(combo):
-                o[n + cs if j == cs else j] = k
-            key = tuple(o)
-            acc[key] = acc.get(key, 0.0) + weight
-            if len(acc) > MAX_SUPPORT_POINTS:
-                raise SupportExplosionError(
-                    f"offspring support exceeded {MAX_SUPPORT_POINTS} points"
-                )
-    return acc
+            rows = [_binomial_row(int(k), q) for k, q in zip(d, self.thinning)]
+            for combo in product(*(range(int(k) + 1) for k in d)):
+                weight = float(m)
+                for row, k in zip(rows, combo):
+                    weight *= row[k]
+                if weight == 0.0:
+                    continue
+                acc[combo] = acc.get(combo, 0.0) + weight
+                if len(acc) > MAX_SUPPORT_POINTS:
+                    raise SupportExplosionError(f"more than {MAX_SUPPORT_POINTS} support points")
+        return ChildrenPmf(self.origin_type, self.n_systems, list(acc), list(acc.values()))
 
 
-def _children_from_dict(entries: dict[tuple, float], origin_type: int, n: int) -> ChildrenPmf:
-    keys = list(entries.keys())
-    return ChildrenPmf(
-        origin_type=origin_type,
-        n_systems=n,
-        support=np.array(keys, dtype=np.int64),
-        mass=np.array([entries[k] for k in keys]),
-    )
+def offspring_law(model: SystemModel, origin_type: int) -> OffspringLaw:
+    """Closed-form offspring law of one type, without enumeration: degree
+    coordinate ``cs`` of a CS-``cs`` agent becomes type ``n + cs``, and the
+    infected type loses the internal neighbor that infected it."""
+    n = model.n_systems
+    if not 0 <= origin_type < 2 * n:
+        raise IndexError(f"origin_type {origin_type} out of range")
+    cs = origin_type % n
+    joint = model.degree_dists[cs]
+    cols = [n + cs if j == cs else j for j in range(n)]
+    support = np.zeros((joint.n_points, 2 * n), dtype=np.int64)
+    support[:, cols] = joint.support
+    if origin_type >= n:
+        support[:, n + cs] = np.maximum(support[:, n + cs] - 1, 0)
+    thinning = np.zeros(2 * n)
+    thinning[cols] = thinning_probabilities(model, cs)
+    return OffspringLaw(origin_type, n, _frozen(support), joint.mass, _frozen(thinning))
+
+
+def offspring_laws(model: SystemModel) -> list[OffspringLaw]:
+    """All ``2 * n_systems`` closed-form offspring laws, indexed by type."""
+    return [offspring_law(model, t) for t in range(2 * model.n_systems)]
 
 
 def children_distribution_fresh(model: SystemModel, cs: int) -> ChildrenPmf:
     """Exact offspring law of a freshly failed CS-``cs`` agent."""
-    n = model.n_systems
-    probs = thinning_probabilities(model, cs)
-    acc = _thinned_children(model.degree_dists[cs], cs, n, probs, drop_internal=False)
-    return _children_from_dict(acc, cs, n)
+    return offspring_law(model, cs).children()
 
 
 def children_distribution_infected(model: SystemModel, cs: int) -> ChildrenPmf:
     """Exact offspring law of a CS-``cs`` agent infected through an internal
     neighbor: one internal potential child is removed before thinning."""
-    n = model.n_systems
-    probs = thinning_probabilities(model, cs)
-    acc = _thinned_children(model.degree_dists[cs], cs, n, probs, drop_internal=True)
-    return _children_from_dict(acc, n + cs, n)
+    return offspring_law(model, model.n_systems + cs).children()
 
 
 def build_children(model: SystemModel) -> list[ChildrenPmf]:
-    """All ``2 * n_systems`` offspring laws, indexed by type."""
-    fresh = [children_distribution_fresh(model, i) for i in range(model.n_systems)]
-    infected = [children_distribution_infected(model, i) for i in range(model.n_systems)]
-    return fresh + infected
+    """All ``2 * n_systems`` offspring laws enumerated, indexed by type."""
+    return [law.children() for law in offspring_laws(model)]
 
 
 @dataclass(frozen=True)
@@ -290,7 +298,12 @@ def check_vulnerability_scaling(
     vulnerability profiles)."""
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
-    star = [d * profile(d) for d in range(1, d_max + 1)]
+    star = []
+    for d in range(1, d_max + 1):
+        try:
+            star.append(d * profile(d))
+        except ProfileCoverageError:
+            return ScalingCheck(False, d, f"profile does not cover internal degree {d}")
     for idx in range(len(star) - 1):
         if star[idx + 1] < star[idx] - 1e-12:
             return ScalingCheck(

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import branching, orders
-from .children import build_children, check_vulnerability_scaling
+from .children import check_vulnerability_scaling, offspring_laws
 from .model import SystemModel, validate_model
 from .modelio import ModelFormatError, ModelValidationError, load_model
 from .pmf import is_independent, marginal, mean_vector
@@ -95,9 +95,9 @@ def cmd_validate(args) -> int:
 
 
 def build_solve_report(model: SystemModel, tol: float) -> dict:
-    children = build_children(model)
-    mm = branching.mean_matrix(children)
-    poe = branching.solve_extinction(children, tol=tol)
+    laws = offspring_laws(model)
+    mm = branching.mean_matrix(laws)
+    poe = branching.solve_extinction(laws, tol=tol)
     return {
         "model": model.name,
         "n_systems": model.n_systems,
@@ -141,8 +141,8 @@ def build_compare_report(a: SystemModel, b: SystemModel, grid_limit: int) -> dic
     if a.n_systems != b.n_systems:
         raise ValueError("models must have the same number of constituent systems")
     n = a.n_systems
-    poe_a = branching.extinction_probabilities(a)
-    poe_b = branching.extinction_probabilities(b)
+    laws_a, laws_b = offspring_laws(a), offspring_laws(b)
+    poe_a, poe_b = branching.solve_extinction(laws_a), branching.solve_extinction(laws_b)
 
     def observed(direction: str) -> bool:
         if direction == "b<=a":
@@ -218,11 +218,7 @@ def build_compare_report(a: SystemModel, b: SystemModel, grid_limit: int) -> dic
         }
     )
 
-    children_a = build_children(a)
-    children_b = build_children(b)
-    lt_rows = [
-        orders.compare_lt(ha, hb).to_dict() for ha, hb in zip(children_a, children_b)
-    ]
+    lt_rows = [orders.compare_lt(ha, hb).to_dict() for ha, hb in zip(laws_a, laws_b)]
     lt_holds = all(r["outcome"] == "holds" for r in lt_rows)
     hypotheses.append(
         {

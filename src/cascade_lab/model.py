@@ -28,7 +28,7 @@ MODE_DEGREE = "degree"
 MODE_CHILDREN = "children"
 
 
-class ProfileCoverageError(KeyError):
+class ProfileCoverageError(ValueError):
     """A table vulnerability profile was evaluated outside its table."""
 
 

@@ -407,7 +407,8 @@ def compare_lt(
     """Laplace-transform order on a finite grid of arguments:
     x <= y needs E[exp(-s.x)] >= E[exp(-s.y)] at every s > 0; only the grid
     points are checked, so a pass falsifies nothing beyond the grid while a
-    reported violation is a genuine counterexample."""
+    reported violation is a genuine counterexample. ``x`` and ``y`` are any
+    laws with a generating function ``gf``; the transform is gf(exp(-s))."""
     if x.support.shape[1] != y.support.shape[1]:
         raise ValueError("dimension mismatch")
     dim = x.support.shape[1]
@@ -418,12 +419,11 @@ def compare_lt(
         s_grid = s_grid[:, None]
     if np.any(s_grid <= 0):
         raise ValueError("transform arguments must be strictly positive")
-    xs = x.support.astype(np.float64)
-    ys = y.support.astype(np.float64)
     for start in range(0, s_grid.shape[0], chunk):
         block = s_grid[start : start + chunk]
-        lt_x = np.exp(-block @ xs.T) @ x.mass
-        lt_y = np.exp(-block @ ys.T) @ y.mass
+        u = np.exp(-block)[:, None, :]
+        lt_x = x.gf(u)
+        lt_y = y.gf(u)
         bad = np.nonzero(lt_x < lt_y - atol)[0]
         if bad.size:
             k = int(bad[0])

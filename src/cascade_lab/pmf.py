@@ -31,6 +31,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def pgf(support: np.ndarray, mass: np.ndarray, u) -> np.ndarray:
+    """Generating function sum_k mass[k] * prod_j u[j] ** support[k, j], with
+    0 ** 0 == 1: the one evaluator behind every law's ``gf``. ``u`` broadcasts
+    against the support rows: one point ``(dim,)``, a batch ``(m, 1, dim)``,
+    or one point ``(T, 1, dim)`` per law of a stack ``(T, N, dim)``."""
+    terms = np.prod(np.asarray(u, dtype=np.float64) ** support, axis=-1)
+    # One dot product over the support rows per law and per point.
+    return np.matmul(terms[..., None, :], mass[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True, eq=False)
 class MarginalPmf:
     """Pmf of a single nonnegative integer degree.
@@ -148,6 +158,10 @@ class JointPmf:
 
     def as_dict(self) -> dict[tuple, float]:
         return {tuple(int(x) for x in v): float(m) for v, m in zip(self.support, self.mass)}
+
+    def gf(self, u) -> np.ndarray:
+        """Generating function E[prod_j u_j ** D_j] (see ``pgf``)."""
+        return pgf(self.support, self.mass, u)
 
 
 def marginal(joint: JointPmf, axis: int) -> MarginalPmf:

@@ -272,3 +272,50 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["solve", str(path)]) == 1
+
+
+def table_coverage_model():
+    """Table profile covering internal degrees {2, 3} only; the model
+    validates, but stub erasure in a finite graph leaves agents with realized
+    internal degree 1."""
+    from cascade_lab import SystemModel, VulnerabilityProfile
+    from cascade_lab.pmf import MarginalPmf, product_pmf
+
+    internal = MarginalPmf(np.array([2, 3]), np.array([0.5, 0.5]))
+    external = MarginalPmf(np.array([0, 1]), np.array([0.5, 0.5]))
+    table = VulnerabilityProfile(kind="table", table={2: 0.4, 3: 0.3})
+    return SystemModel(
+        degree_dists=(product_pmf(internal, external), product_pmf(external, internal)),
+        infection=[[np.nan, 0.5], [0.5, np.nan]],
+        vulnerability=(table, table),
+        internal_degree_floor=True,
+    )
+
+
+class TestProfileCoverage:
+    def test_simulate_graph_exits_2_with_message(self, tmp_path, capsys):
+        path = tmp_path / "table.json"
+        save_model(table_coverage_model(), path)
+        argv = ["simulate-graph", str(path), "--sizes", "2000,2000", "--trials", "5",
+                "--seed", "1", "--json"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "does not cover internal degree" in err
+        assert "Traceback" not in err
+
+    def test_compare_reports_risk_shape_failure(self, tmp_path, capsys):
+        path = tmp_path / "table.json"
+        save_model(table_coverage_model(), path)
+        assert main(["compare", str(path), str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        dependence = report["hypotheses"][1]
+        assert dependence["rows"][-1] == {"risk_shape_ok": False}
+        assert dependence["holds"] is False
+
+    def test_scaling_check_names_uncovered_degree(self):
+        from cascade_lab import check_vulnerability_scaling
+
+        check = check_vulnerability_scaling(table_coverage_model().vulnerability[0], 20)
+        assert not check.holds
+        assert check.violated_at == 1
+        assert "degree 1" in check.reason
