@@ -144,12 +144,20 @@ def build_compare_report(a: SystemModel, b: SystemModel, grid_limit: int) -> dic
     laws_a, laws_b = offspring_laws(a), offspring_laws(b)
     poe_a, poe_b = branching.solve_extinction(laws_a), branching.solve_extinction(laws_b)
 
-    def observed(direction: str) -> bool:
-        if direction == "b<=a":
-            return bool(np.all(poe_b.values <= poe_a.values + POE_SLACK))
-        return bool(np.all(poe_a.values <= poe_b.values + POE_SLACK))
-
-    hypotheses = []
+    def hypothesis(text: str, holds: bool, rows: list, smaller: str) -> dict:
+        """One hypothesis entry; if it holds, model ``smaller`` ("A" or "B")
+        should have the lower die-out probabilities."""
+        larger = "B" if smaller == "A" else "A"
+        lo, hi = (poe_a, poe_b) if smaller == "A" else (poe_b, poe_a)
+        return {
+            "hypothesis": text,
+            "holds": holds,
+            "rows": rows,
+            "implies": f"poe({smaller}) <= poe({larger})",
+            "implication_observed": (
+                bool(np.all(lo.values <= hi.values + POE_SLACK)) if holds else None
+            ),
+        }
 
     ssd_rows = []
     independent = all(is_independent(p) for p in a.degree_dists) and all(
@@ -162,15 +170,6 @@ def build_compare_report(a: SystemModel, b: SystemModel, grid_limit: int) -> dic
             )
             ssd_rows.append({"cs": cs, "axis": axis, "outcome": verdict.outcome})
     ssd_holds = independent and all(r["outcome"] == "holds" for r in ssd_rows)
-    hypotheses.append(
-        {
-            "hypothesis": "variability: coordinatewise increasing-concave order, independent coordinates",
-            "holds": ssd_holds,
-            "rows": ssd_rows + [{"independent": independent}],
-            "implies": "poe(B) <= poe(A)",
-            "implication_observed": observed("b<=a") if ssd_holds else None,
-        }
-    )
 
     sm_rows = [
         orders.certify_supermodular(
@@ -178,21 +177,18 @@ def build_compare_report(a: SystemModel, b: SystemModel, grid_limit: int) -> dic
         ).to_dict()
         for cs in range(n)
     ]
-    shape_ok = all(
-        check_vulnerability_scaling(profile, 20).holds
-        for model in (a, b)
-        for profile in model.vulnerability
-    )
+    shape_checks = [
+        (name, cs, check_vulnerability_scaling(profile, 20))
+        for name, model in (("A", a), ("B", b))
+        for cs, profile in enumerate(model.vulnerability)
+    ]
+    risk_shape = [
+        {"model": name, "cs": cs, "violated_at": check.violated_at, "reason": check.reason}
+        for name, cs, check in shape_checks
+        if not check.holds
+    ]
+    shape_ok = not risk_shape
     sm_holds = shape_ok and all(r["outcome"] == "holds" for r in sm_rows)
-    hypotheses.append(
-        {
-            "hypothesis": "dependence: supermodular order per CS (aggregate risk nondecreasing concave)",
-            "holds": sm_holds,
-            "rows": sm_rows + [{"risk_shape_ok": shape_ok}],
-            "implies": "poe(A) <= poe(B)",
-            "implication_observed": observed("a<=b") if sm_holds else None,
-        }
-    )
 
     idcv_rows = []
     means_equal = all(
@@ -208,34 +204,42 @@ def build_compare_report(a: SystemModel, b: SystemModel, grid_limit: int) -> dic
     idcv_holds = (
         shape_ok and means_equal and all(r["outcome"] == "holds" for r in idcv_rows)
     )
-    hypotheses.append(
-        {
-            "hypothesis": "variability: joint increasing directionally-concave order, equal means",
-            "holds": idcv_holds,
-            "rows": idcv_rows + [{"means_equal": means_equal, "risk_shape_ok": shape_ok}],
-            "implies": "poe(B) <= poe(A)",
-            "implication_observed": observed("b<=a") if idcv_holds else None,
-        }
-    )
 
     lt_rows = [orders.compare_lt(ha, hb).to_dict() for ha, hb in zip(laws_a, laws_b)]
     lt_holds = all(r["outcome"] == "holds" for r in lt_rows)
-    hypotheses.append(
-        {
-            "hypothesis": "children: Laplace-transform order per type (grid check)",
-            "holds": lt_holds,
-            "rows": lt_rows,
-            "implies": "poe(B) <= poe(A)",
-            "implication_observed": observed("b<=a") if lt_holds else None,
-        }
-    )
 
     return {
         "model_a": a.name,
         "model_b": b.name,
         "poe_a": [float(v) for v in poe_a.values],
         "poe_b": [float(v) for v in poe_b.values],
-        "hypotheses": hypotheses,
+        "risk_shape": risk_shape,
+        "hypotheses": [
+            hypothesis(
+                "variability: coordinatewise increasing-concave order, independent coordinates",
+                ssd_holds,
+                ssd_rows + [{"independent": independent}],
+                "B",
+            ),
+            hypothesis(
+                "dependence: supermodular order per CS (aggregate risk nondecreasing concave)",
+                sm_holds,
+                sm_rows + [{"risk_shape_ok": shape_ok}],
+                "A",
+            ),
+            hypothesis(
+                "variability: joint increasing directionally-concave order, equal means",
+                idcv_holds,
+                idcv_rows + [{"means_equal": means_equal, "risk_shape_ok": shape_ok}],
+                "B",
+            ),
+            hypothesis(
+                "children: Laplace-transform order per type (grid check)",
+                lt_holds,
+                lt_rows,
+                "B",
+            ),
+        ],
     }
 
 
@@ -250,6 +254,8 @@ def cmd_compare(args) -> int:
         print(f"B = {report['model_b'] or args.model_b}")
         print("poe(A): " + " ".join(_fmt(v) for v in report["poe_a"]))
         print("poe(B): " + " ".join(_fmt(v) for v in report["poe_b"]))
+        for r in report["risk_shape"]:
+            print(f"risk shape fails for model {r['model']} CS {r['cs']}: {r['reason']}")
         for h in report["hypotheses"]:
             mark = "holds" if h["holds"] else "not established"
             print(f"- {h['hypothesis']}: {mark}")

@@ -34,6 +34,8 @@ GRID_FALSIFICATION = "grid-falsification"
 ORDER_ATOL = 1e-9
 DEFAULT_GRID_LIMIT = 400
 LT_DEFAULT_LEVELS = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0)
+# Transform arguments evaluated per generating-function call in compare_lt.
+LT_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -101,25 +103,28 @@ def _merged_axes(x: JointPmf, y: JointPmf) -> list[np.ndarray]:
     ]
 
 
+def _scatter(pmf: JointPmf, axes: list[np.ndarray]) -> np.ndarray:
+    """Point masses of ``pmf`` on the grid of all combinations of the sorted
+    per-axis values in ``axes``, which must cover the support."""
+    cells = np.zeros(tuple(len(a) for a in axes))
+    idx = tuple(np.searchsorted(axes[j], pmf.support[:, j]) for j in range(len(axes)))
+    np.add.at(cells, idx, pmf.mass)
+    return cells
+
+
 def _orthant_tables(pmf: JointPmf, axes: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Lower-orthant F(t) = P(X <= t) and upper-orthant P(X > t) on the grid
     of all combinations of per-axis threshold values."""
-    shape = tuple(len(a) for a in axes)
-    cells = np.zeros(shape)
-    idx = np.stack(
-        [np.searchsorted(axes[j], pmf.support[:, j]) for j in range(pmf.dimension)],
-        axis=1,
-    )
-    np.add.at(cells, tuple(idx.T), pmf.mass)
-    lower = cells.copy()
-    for axis in range(len(shape)):
+    cells = _scatter(pmf, axes)
+    lower = cells
+    for axis in range(cells.ndim):
         lower = np.cumsum(lower, axis=axis)
-    upper = cells.copy()
-    for axis in range(len(shape)):
+    upper = cells
+    for axis in range(cells.ndim):
         flipped = np.flip(np.cumsum(np.flip(upper, axis), axis), axis)
         strict = np.zeros_like(flipped)
-        src = [slice(None)] * len(shape)
-        dst = [slice(None)] * len(shape)
+        src = [slice(None)] * cells.ndim
+        dst = [slice(None)] * cells.ndim
         src[axis] = slice(1, None)
         dst[axis] = slice(None, -1)
         strict[tuple(dst)] = flipped[tuple(src)]
@@ -189,94 +194,75 @@ def _bounding_box(x: JointPmf, y: JointPmf) -> list[np.ndarray]:
     return axes
 
 
-def _grid_objective(x: JointPmf, y: JointPmf, axes: list[np.ndarray]) -> np.ndarray:
-    shape = tuple(len(a) for a in axes)
-    c = np.zeros(shape)
-    for pmf, sign in ((y, 1.0), (x, -1.0)):
-        idx = tuple(
-            (pmf.support[:, j] - axes[j][0]).astype(np.int64) for j in range(len(axes))
-        )
-        np.add.at(c, idx, sign * pmf.mass)
-    return c.ravel()
-
-
-def _cell_rows(shape: tuple[int, ...], reverse: bool) -> list[np.ndarray]:
-    """Unit-cell inequalities for every coordinate pair. With ``reverse``
-    False: supermodularity, xi(v+ea) + xi(v+eb) - xi(v) - xi(v+ea+eb) <= 0;
-    with ``reverse`` True the signs flip (submodularity)."""
-    ndim = len(shape)
-    size = int(np.prod(shape))
-    rows = []
-    sign = -1.0 if reverse else 1.0
-    for a, b in combinations(range(ndim), 2):
-        ranges = [range(s - 1) if k in (a, b) else range(s) for k, s in enumerate(shape)]
-        for v in product(*ranges):
-            row = np.zeros(size)
-            v = np.array(v)
-            ea = np.eye(ndim, dtype=int)[a]
-            eb = np.eye(ndim, dtype=int)[b]
-            row[np.ravel_multi_index(v + ea, shape)] += sign
-            row[np.ravel_multi_index(v + eb, shape)] += sign
-            row[np.ravel_multi_index(v, shape)] -= sign
-            row[np.ravel_multi_index(v + ea + eb, shape)] -= sign
-            rows.append(row)
+def _stencil_rows(shape: tuple[int, ...], stencil: list) -> np.ndarray:
+    """One row sum(coeff * xi(v + offset)) <= 0 per point v of the grid of
+    ``shape``, in lexicographic order, for every v that keeps all offsets on
+    the grid. A stencil is a list of (offset, coeff) pairs with nonnegative
+    integer offset vectors."""
+    reach = np.max([offset for offset, _ in stencil], axis=0)
+    dims = [max(s - r, 0) for s, r in zip(shape, reach)]
+    count = int(np.prod(dims))
+    starts = np.indices(dims).reshape(len(shape), count)
+    rows = np.zeros((count, int(np.prod(shape))))
+    for offset, coeff in stencil:
+        cols = np.ravel_multi_index(starts + np.reshape(offset, (-1, 1)), shape)
+        rows[np.arange(count), cols] += coeff
     return rows
 
 
-def _monotone_rows(shape: tuple[int, ...]) -> list[np.ndarray]:
-    """xi(v) - xi(v+ea) <= 0 for every axis (increasing functions)."""
-    ndim = len(shape)
-    size = int(np.prod(shape))
-    rows = []
-    for a in range(ndim):
-        ranges = [range(s - 1) if k == a else range(s) for k, s in enumerate(shape)]
-        for v in product(*ranges):
-            row = np.zeros(size)
-            v = np.array(v)
-            ea = np.eye(ndim, dtype=int)[a]
-            row[np.ravel_multi_index(v, shape)] += 1.0
-            row[np.ravel_multi_index(v + ea, shape)] -= 1.0
-            rows.append(row)
-    return rows
+def _supermodular_stencils(ndim: int) -> list[list]:
+    """xi(v+ea) + xi(v+eb) - xi(v) - xi(v+ea+eb) <= 0 for every axis pair."""
+    e, zero = np.eye(ndim, dtype=np.int64), np.zeros(ndim, dtype=np.int64)
+    return [
+        [(e[a], 1.0), (e[b], 1.0), (zero, -1.0), (e[a] + e[b], -1.0)]
+        for a, b in combinations(range(ndim), 2)
+    ]
 
 
-def _concave_rows(shape: tuple[int, ...]) -> list[np.ndarray]:
-    """xi(v) - 2 xi(v+ea) + xi(v+2ea) <= 0 for every axis."""
-    ndim = len(shape)
-    size = int(np.prod(shape))
-    rows = []
-    for a in range(ndim):
-        if shape[a] < 3:
-            continue
-        ranges = [range(s - 2) if k == a else range(s) for k, s in enumerate(shape)]
-        for v in product(*ranges):
-            row = np.zeros(size)
-            v = np.array(v)
-            ea = np.eye(ndim, dtype=int)[a]
-            row[np.ravel_multi_index(v, shape)] += 1.0
-            row[np.ravel_multi_index(v + ea, shape)] -= 2.0
-            row[np.ravel_multi_index(v + 2 * ea, shape)] += 1.0
-            rows.append(row)
-    return rows
+def _idcv_stencils(ndim: int) -> list[list]:
+    """Submodular cells (the supermodular stencils sign-flipped), then
+    xi(v) - xi(v+ea) <= 0 (increasing) and xi(v) - 2 xi(v+ea) + xi(v+2ea)
+    <= 0 (concave) for every axis."""
+    e, zero = np.eye(ndim, dtype=np.int64), np.zeros(ndim, dtype=np.int64)
+    return (
+        [[(o, -w) for o, w in s] for s in _supermodular_stencils(ndim)]
+        + [[(zero, 1.0), (e[a], -1.0)] for a in range(ndim)]
+        + [[(zero, 1.0), (e[a], -2.0), (2 * e[a], 1.0)] for a in range(ndim)]
+    )
 
 
 def _certify_on_grid(
     relation: str,
     x: JointPmf,
     y: JointPmf,
-    rows: list[np.ndarray],
-    axes: list[np.ndarray],
+    stencils: list[list],
     atol: float,
+    grid_limit: int,
 ) -> OrderVerdict:
-    """Minimize sum((y - x) * xi) over grid functions xi in [-1, 1] that
-    satisfy the cone rows; a nonnegative optimum certifies the order."""
+    """Minimize sum((y - x) * xi) over functions xi in [-1, 1] on the integer
+    bounding box that satisfy every stencil row; a nonnegative optimum
+    certifies the order. A box of more than ``grid_limit`` points gets an
+    inconclusive necessary-condition report instead."""
+    if x.dimension != y.dimension:
+        raise ValueError("dimension mismatch")
+    axes = _bounding_box(x, y)
     shape = tuple(len(a) for a in axes)
     size = int(np.prod(shape))
-    c = _grid_objective(x, y, axes)
+    if size > grid_limit:
+        return OrderVerdict(
+            relation,
+            INCONCLUSIVE,
+            EXACT,
+            detail=(
+                f"grid of {size} points exceeds limit {grid_limit}; "
+                + _necessary_condition_report(x, y, atol)
+            ),
+        )
+    c = (_scatter(y, axes) - _scatter(x, axes)).ravel()
     # Shift xi = z - 1 so z lives in [0, 2]: structural rows keep rhs 0
     # (their coefficients sum to zero) and the upper bounds become z <= 2.
-    A = np.vstack(rows + [np.eye(size)]) if rows else np.eye(size)
-    b = np.concatenate([np.zeros(len(rows)), np.full(size, 2.0)])
+    A = np.vstack([_stencil_rows(shape, s) for s in stencils] + [np.eye(size)])
+    b = np.concatenate([np.zeros(A.shape[0] - size), np.full(size, 2.0)])
     result = solve_lp(c, A, b)
     if result.status == ITERATION_LIMIT:
         return OrderVerdict(
@@ -333,8 +319,6 @@ def certify_supermodular(
     higher dimensions are LP-certified on the integer bounding box, falling
     back to an inconclusive necessary-condition report when the box exceeds
     ``grid_limit`` points."""
-    if x.dimension != y.dimension:
-        raise ValueError("dimension mismatch")
     if x.dimension == 2:
         inner = compare_concordance(x, y, atol)
         return OrderVerdict(
@@ -344,21 +328,9 @@ def certify_supermodular(
             witness=inner.witness,
             detail="bivariate supermodular order coincides with concordance",
         )
-    axes = _bounding_box(x, y)
-    size = int(np.prod([len(a) for a in axes]))
-    if size > grid_limit:
-        return OrderVerdict(
-            "supermodular",
-            INCONCLUSIVE,
-            EXACT,
-            detail=(
-                f"grid of {size} points exceeds limit {grid_limit}; "
-                + _necessary_condition_report(x, y, atol)
-            ),
-        )
-    shape = tuple(len(a) for a in axes)
-    rows = _cell_rows(shape, reverse=False)
-    return _certify_on_grid("supermodular", x, y, rows, axes, atol)
+    return _certify_on_grid(
+        "supermodular", x, y, _supermodular_stencils(x.dimension), atol, grid_limit
+    )
 
 
 def certify_idcv(
@@ -370,25 +342,7 @@ def certify_idcv(
     """Increasing directionally-concave order, LP-certified over the cone of
     increasing, componentwise-concave, submodular functions on the integer
     bounding box of the two supports."""
-    if x.dimension != y.dimension:
-        raise ValueError("dimension mismatch")
-    axes = _bounding_box(x, y)
-    size = int(np.prod([len(a) for a in axes]))
-    if size > grid_limit:
-        return OrderVerdict(
-            "idcv",
-            INCONCLUSIVE,
-            EXACT,
-            detail=(
-                f"grid of {size} points exceeds limit {grid_limit}; "
-                + _necessary_condition_report(x, y, atol)
-            ),
-        )
-    shape = tuple(len(a) for a in axes)
-    rows = (
-        _cell_rows(shape, reverse=True) + _monotone_rows(shape) + _concave_rows(shape)
-    )
-    return _certify_on_grid("idcv", x, y, rows, axes, atol)
+    return _certify_on_grid("idcv", x, y, _idcv_stencils(x.dimension), atol, grid_limit)
 
 
 def default_lt_grid(dimension: int, levels: Sequence[float] = LT_DEFAULT_LEVELS) -> np.ndarray:
@@ -402,7 +356,6 @@ def compare_lt(
     y,
     s_grid: np.ndarray | None = None,
     atol: float = ORDER_ATOL,
-    chunk: int = 2048,
 ) -> OrderVerdict:
     """Laplace-transform order on a finite grid of arguments:
     x <= y needs E[exp(-s.x)] >= E[exp(-s.y)] at every s > 0; only the grid
@@ -419,8 +372,8 @@ def compare_lt(
         s_grid = s_grid[:, None]
     if np.any(s_grid <= 0):
         raise ValueError("transform arguments must be strictly positive")
-    for start in range(0, s_grid.shape[0], chunk):
-        block = s_grid[start : start + chunk]
+    for start in range(0, s_grid.shape[0], LT_CHUNK):
+        block = s_grid[start : start + LT_CHUNK]
         u = np.exp(-block)[:, None, :]
         lt_x = x.gf(u)
         lt_y = y.gf(u)

@@ -100,8 +100,10 @@ class CascadeTrace:
         object.__setattr__(self, "counts", counts)
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
+def _trial_seed(seed: int, trial: int) -> np.random.SeedSequence:
+    """The seed of trial ``trial``: every Monte Carlo entry point draws that
+    trial's randomness from this sequence or from its spawned children."""
+    return np.random.SeedSequence(seed, spawn_key=(trial,))
 
 
 def simulate_offspring_process(
@@ -130,7 +132,7 @@ def simulate_offspring_process(
     cap_hits = 0
     traces: list[CascadeTrace] = []
     for trial in range(trials):
-        rng = _trial_rng(rng_seed, trial)
+        rng = np.random.default_rng(_trial_seed(rng_seed, trial))
         counts = np.zeros(n_types, dtype=np.int64)
         counts[seed_type] = 1
         total = 1
@@ -246,6 +248,14 @@ def _csr_from_edges(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarra
     np.add.at(indptr, src + 1, 1)
     np.cumsum(indptr, out=indptr)
     return indptr, dst
+
+
+def _csr_gather(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The entries of CSR rows ``rows``, concatenated in the order given."""
+    counts = indptr[rows + 1] - indptr[rows]
+    positions = np.repeat(indptr[rows] - np.cumsum(counts) + counts, counts)
+    positions += np.arange(positions.size)
+    return indices[positions]
 
 
 def _distinct_targets(
@@ -416,38 +426,27 @@ def run_cascade(
     frontier = np.array([initial_agent], dtype=np.int64)
     while frontier.size:
         row = np.zeros(2 * n, dtype=np.int64)
-        newly: list[np.ndarray] = []
-        internal = (
-            np.concatenate([system.internal_neighbors(a) for a in frontier])
-            if frontier.size
-            else np.empty(0, dtype=np.int64)
+        internal = np.unique(
+            _csr_gather(system.internal_indptr, system.internal_indices, frontier)
         )
-        if internal.size:
-            internal = np.unique(internal)
-            hits = internal[~failed[internal] & system.vulnerable[internal]]
-            if hits.size:
-                failed[hits] = True
-                newly.append(hits)
-                np.add.at(row, n + system.cs_of[hits], 1)
-        ext_src = np.repeat(
-            frontier,
-            system.external_indptr[frontier + 1] - system.external_indptr[frontier],
-        )
-        ext_dst = (
-            np.concatenate([system.external_dependents(a) for a in frontier])
-            if frontier.size
-            else np.empty(0, dtype=np.int64)
-        )
+        hits = internal[~failed[internal] & system.vulnerable[internal]]
+        failed[hits] = True
+        np.add.at(row, n + system.cs_of[hits], 1)
+        newly = [hits]
+        ext_dst = _csr_gather(system.external_indptr, system.external_indices, frontier)
         if ext_dst.size:
+            ext_src = np.repeat(
+                frontier,
+                system.external_indptr[frontier + 1] - system.external_indptr[frontier],
+            )
             q = system.infection[system.cs_of[ext_src], system.cs_of[ext_dst]]
             coins = rng.random(ext_dst.size) < q
             hits = np.unique(ext_dst[coins & ~failed[ext_dst]])
-            if hits.size:
-                failed[hits] = True
-                newly.append(hits)
-                np.add.at(row, system.cs_of[hits], 1)
+            failed[hits] = True
+            newly.append(hits)
+            np.add.at(row, system.cs_of[hits], 1)
         trace.append(row)
-        frontier = np.concatenate(newly) if newly else np.empty(0, dtype=np.int64)
+        frontier = np.concatenate(newly)
     counts_by_cs = np.array(
         [int(failed[system.offsets[i] : system.offsets[i + 1]].sum()) for i in range(n)]
     )
@@ -491,8 +490,7 @@ def estimate_epidemic_probability(
     count = 0
     rows: list[EpidemicTrial] = []
     for trial in range(trials):
-        ss = np.random.SeedSequence(rng_seed, spawn_key=(trial,))
-        graph_ss, pick_ss, cascade_ss = ss.spawn(3)
+        graph_ss, pick_ss, cascade_ss = _trial_seed(rng_seed, trial).spawn(3)
         system = generate_system_graph(model, sizes, np.random.default_rng(graph_ss))
         pick = np.random.default_rng(pick_ss)
         seed_agent = int(

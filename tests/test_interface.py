@@ -312,6 +312,23 @@ class TestProfileCoverage:
         assert dependence["rows"][-1] == {"risk_shape_ok": False}
         assert dependence["holds"] is False
 
+    def test_compare_names_uncovered_degree(self, tmp_path, capsys):
+        path = tmp_path / "table.json"
+        save_model(table_coverage_model(), path)
+        assert main(["compare", str(path), str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        failing = {(r["model"], r["cs"]) for r in report["risk_shape"]}
+        assert failing == {("A", 0), ("A", 1), ("B", 0), ("B", 1)}
+        for r in report["risk_shape"]:
+            assert r["violated_at"] == 1
+            assert "degree 1" in r["reason"]
+
+    def test_compare_risk_shape_empty_on_fixtures(self, capsys):
+        argv = ["compare", str(fixture_path("example1_p1")), str(fixture_path("example1_p2")),
+                "--json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["risk_shape"] == []
+
     def test_scaling_check_names_uncovered_degree(self):
         from cascade_lab import check_vulnerability_scaling
 
