@@ -4,15 +4,16 @@ The failure process is a branching process over ``2n`` agent types. Its mean
 matrix collects the expected children counts per type; the process can
 sustain an epidemic iff the spectral radius exceeds 1, and the per-type
 die-out probabilities form the minimal fixed point of the offspring
-generating functions, reached by monotone iteration from zero. Both work on
-any sequence of laws with ``n_types``, ``origin_type``, ``mean()`` and
-``gf(s)``: the closed-form ``OffspringLaw``s, or enumerated ``ChildrenPmf``s.
+generating functions, reached by Newton's method from zero. Both work on
+any sequence of laws with ``n_types``, ``origin_type``, ``mean()``,
+``support``, ``mass`` and ``thinning``: the closed-form ``OffspringLaw``s, or
+enumerated ``ChildrenPmf``s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,8 +26,11 @@ STRUCTURAL_ZERO = 1e-15
 # Half-width of the band around spectral radius 1 treated as critical.
 CRITICAL_BAND = 1e-9
 # A generating function on [0, 1] is at most its law's total mass, at most
-# 1 + CHILDREN_MASS_TOL; the other half of the slack absorbs rounding.
+# 1 + CHILDREN_MASS_TOL; the other half of the slack absorbs rounding. A
+# Newton step, nonnegative in exact arithmetic, may fall this far below zero.
 ITERATE_SLACK = 2 * CHILDREN_MASS_TOL
+# Newton steps after which the solve stops and reports converged = False.
+MAX_NEWTON_STEPS = 100
 
 SUBCRITICAL = "subcritical"
 CRITICAL = "critical"
@@ -92,10 +96,6 @@ def mean_matrix(children: Sequence[ChildrenPmf]) -> MeanMatrix:
     return MeanMatrix(rows)
 
 
-def _pattern(values: np.ndarray) -> np.ndarray:
-    return values > STRUCTURAL_ZERO
-
-
 def is_positively_regular(m: MeanMatrix | np.ndarray) -> bool:
     """True iff some power of the matrix is entrywise positive (primitivity).
 
@@ -104,7 +104,7 @@ def is_positively_regular(m: MeanMatrix | np.ndarray) -> bool:
     n^2 - 2n + 2, so only exponents up to that need checking.
     """
     values = m.values if isinstance(m, MeanMatrix) else np.asarray(m, dtype=np.float64)
-    pattern = _pattern(values)
+    pattern = values > STRUCTURAL_ZERO
     n = pattern.shape[0]
     power = pattern.copy()
     limit = n * n - 2 * n + 2
@@ -135,10 +135,10 @@ def evaluate_generating_function(h: ChildrenPmf, s: np.ndarray) -> float:
     return float(h.gf(np.clip(s, 0.0, 1.0)))
 
 
-def _gf_map(children: Sequence[ChildrenPmf]) -> Callable[[np.ndarray], np.ndarray]:
-    """The generating map s -> (f_t(s))_t of a sequence of laws, as one
-    ``pgf`` call on their supports stacked into a (types, rows, types) array;
-    the padding rows of shorter laws carry no mass."""
+def _gf_map(children: Sequence[ChildrenPmf]):
+    """The generating map s -> (f_t(s))_t of a sequence of laws and its
+    Jacobian, as ``pgf`` calls on their supports stacked into a (types, rows,
+    types) array; the padding rows of shorter laws carry no mass."""
     n_rows = max(h.support.shape[0] for h in children)
     n_types = children[0].n_types
     support = np.zeros((len(children), n_rows, n_types), dtype=np.int64)
@@ -149,11 +149,25 @@ def _gf_map(children: Sequence[ChildrenPmf]) -> Callable[[np.ndarray], np.ndarra
         mass[t, : h.mass.shape[0]] = h.mass
         thinning[t, 0] = h.thinning
     keep = 1.0 - thinning
-    return lambda s: pgf(support, mass, keep + thinning * s)
+    # Jacobian entry (t, j) = pi_j sum_k m_k d_kj prod_l u_l ** (d_kl - [l = j])
+    # with u = 1 - pi + pi s: per column j, supports lowered by one in j and
+    # weights m_k d_kj. Rows with d_kj = 0 weigh nothing; the clip at 0 keeps
+    # 0 ** -1 out of them.
+    lowered = np.maximum(support[:, None] - np.eye(n_types, dtype=np.int64)[:, None], 0)
+    weights = mass[:, None] * np.moveaxis(support, 2, 1)
+
+    def gf(s: np.ndarray) -> np.ndarray:
+        return pgf(support, mass, keep + thinning * s)
+
+    def jacobian(s: np.ndarray) -> np.ndarray:
+        u = keep + thinning * s
+        return thinning[:, 0] * pgf(lowered, weights, u[:, None])
+
+    return gf, jacobian
 
 
 def _gf_vector(children: Sequence[ChildrenPmf], s: np.ndarray) -> np.ndarray:
-    return _gf_map(children)(s)
+    return _gf_map(children)[0](s)
 
 
 @dataclass(frozen=True)
@@ -162,8 +176,9 @@ class PoEVector:
 
     ``values[i]`` is the probability that the failure cascade seeded by one
     type-i agent dies out. ``regime`` classifies the process by the spectral
-    radius of the mean matrix; ``converged`` is False only when the iteration
-    budget ran out (the best iterate is still returned).
+    radius of the mean matrix; ``iterations`` counts Newton steps and
+    ``residual`` is max |f(values) - values|. ``converged`` is False only when
+    MAX_NEWTON_STEPS steps ran out first (the last iterate is still returned).
     """
 
     values: np.ndarray
@@ -178,17 +193,9 @@ class PoEVector:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @property
-    def supercritical(self) -> bool:
-        return self.spectral_radius_value > 1.0
-
-    def cascade_probabilities(self) -> np.ndarray:
-        return 1.0 - self.values
-
     def to_dict(self) -> dict:
         return {
             "poe": [float(v) for v in self.values],
-            "pocf": [float(1.0 - v) for v in self.values],
             "spectral_radius": float(self.spectral_radius_value),
             "regime": self.regime,
             "iterations": self.iterations,
@@ -197,19 +204,15 @@ class PoEVector:
         }
 
 
-def solve_extinction(
-    children: Sequence[ChildrenPmf],
-    tol: float = 1e-12,
-    max_iter: int = 1_000_000,
-) -> PoEVector:
+def solve_extinction(children: Sequence[ChildrenPmf], tol: float = 1e-12) -> PoEVector:
     """Minimal fixed point of the offspring generating functions.
 
-    Iterates s <- f(s) from s = 0; the iterates increase monotonically to the
-    extinction-probability vector. Starting anywhere above would risk landing
-    on the trivial all-ones fixed point, so the start at zero is load-bearing.
-    In the critical regime (spectral radius within CRITICAL_BAND of 1) with a
-    non-degenerate offspring law the answer is the all-ones vector and the
-    iteration, which would stall, is skipped.
+    Types where f^k(0) stays 0 for every k never die out. On the others
+    Newton's method from 0 rises monotonically to the fixed point (Esparza,
+    Kiefer & Luttenberger, SIAM J. Comput. 2010) until every step is below
+    ``tol``; a type that reaches 1 is solved. In the critical regime (spectral
+    radius within CRITICAL_BAND of 1) with every type able to die the answer
+    is all ones, which Newton would approach only linearly.
     """
     mm = mean_matrix(children)
     rho = spectral_radius(mm)
@@ -220,54 +223,39 @@ def solve_extinction(
     else:
         regime = CRITICAL
     n_types = children[0].n_types
-    gf_map = _gf_map(children)
-    # Exactly one child a.s. iff no mass on zero children and one in mean.
-    no_zero = np.all(gf_map(np.zeros(n_types)) <= 1e-12)
-    single_child = no_zero and np.all(np.abs(mm.values.sum(axis=1) - 1.0) <= 1e-12)
-    if regime == CRITICAL and not single_child:
-        return PoEVector(
-            values=np.ones(n_types),
-            spectral_radius_value=rho,
-            regime=regime,
-            iterations=0,
-            residual=0.0,
-            converged=True,
-        )
-    s = np.zeros(n_types)
-    residual = np.inf
-    for iteration in range(1, max_iter + 1):
-        s_next = gf_map(s)
-        if np.any(s_next > 1.0 + ITERATE_SLACK):
+    gf, jacobian = _gf_map(children)
+    can_die = np.zeros(n_types, dtype=bool)
+    for _ in range(n_types):
+        can_die = gf(can_die.astype(np.float64)) > 0.0
+    s = np.full(n_types, 1.0 if regime == CRITICAL and can_die.all() else 0.0)
+    active = can_die & (s < 1.0)
+    steps = 0
+    while active.any() and steps < MAX_NEWTON_STEPS:
+        steps += 1
+        value = gf(s)
+        if np.any(value > 1.0 + ITERATE_SLACK):
             raise RuntimeError("fixed-point iterate escaped [0, 1]")
-        s_next = np.minimum(s_next, 1.0)
-        if np.any(s_next < s - 1e-15):
+        # f(s) >= s at every Newton iterate; a negative gap is rounding.
+        gap = np.maximum(value - s, 0.0)[active]
+        system = np.eye(gap.size) - jacobian(s)[np.ix_(active, active)]
+        step = np.linalg.solve(system, gap)
+        if np.any(step < -ITERATE_SLACK):
             raise RuntimeError("fixed-point iteration not monotone")
-        residual = float(np.max(np.abs(s_next - s)))
-        s = s_next
-        if residual < tol:
-            return PoEVector(
-                values=np.clip(s, 0.0, 1.0),
-                spectral_radius_value=rho,
-                regime=regime,
-                iterations=iteration,
-                residual=residual,
-                converged=True,
-            )
+        s[active] = np.clip(s[active] + step, 0.0, 1.0)
+        active &= (s < 1.0) & np.any(np.abs(step) >= tol)
     return PoEVector(
-        values=np.clip(s, 0.0, 1.0),
+        values=s,
         spectral_radius_value=rho,
         regime=regime,
-        iterations=max_iter,
-        residual=residual,
-        converged=False,
+        iterations=steps,
+        residual=float(np.max(np.abs(gf(s) - s))),
+        converged=not active.any(),
     )
 
 
-def extinction_probabilities(
-    model: SystemModel, tol: float = 1e-12, max_iter: int = 1_000_000
-) -> PoEVector:
+def extinction_probabilities(model: SystemModel, tol: float = 1e-12) -> PoEVector:
     """Die-out probabilities of the cascade seeded in each type of ``model``."""
-    return solve_extinction(offspring_laws(model), tol=tol, max_iter=max_iter)
+    return solve_extinction(offspring_laws(model), tol=tol)
 
 
 def cascade_probability(model: SystemModel, seed_cs: int, tol: float = 1e-12) -> float:

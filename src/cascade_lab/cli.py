@@ -103,13 +103,8 @@ def build_solve_report(model: SystemModel, tol: float) -> dict:
         "n_systems": model.n_systems,
         "mean_matrix": [[float(v) for v in row] for row in mm.values],
         "positively_regular": branching.is_positively_regular(mm),
-        "spectral_radius": float(poe.spectral_radius_value),
-        "regime": poe.regime,
-        "poe": [float(v) for v in poe.values],
         "pocf_per_cs": [float(1.0 - poe.values[i]) for i in range(model.n_systems)],
-        "iterations": poe.iterations,
-        "residual": float(poe.residual),
-        "converged": poe.converged,
+        **poe.to_dict(),
     }
 
 
@@ -310,14 +305,13 @@ def cmd_orders(args) -> int:
 
 def cmd_simulate_bp(args) -> int:
     model = load_model(args.model)
-    estimate, traces = simulate_branching(
+    estimate, _ = simulate_branching(
         model,
         seed_type=args.seed_type,
         generation_cap=args.generation_cap,
         population_cap=args.population_cap,
         trials=args.trials,
         rng_seed=args.seed,
-        keep_traces=args.keep_traces,
     )
     payload = estimate.to_dict()
     payload["generation_cap"] = args.generation_cap
@@ -426,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-type", type=int, default=0)
     p.add_argument("--generation-cap", type=_positive_int, default=200)
     p.add_argument("--population-cap", type=_positive_int, default=100000)
-    p.add_argument("--keep-traces", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.add_argument("--output")
     p.set_defaults(fn=cmd_simulate_bp)

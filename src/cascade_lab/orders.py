@@ -30,6 +30,7 @@ INCONCLUSIVE = "inconclusive"
 EXACT = "exact"
 LP_CERTIFIED = "lp-certified"
 GRID_FALSIFICATION = "grid-falsification"
+NECESSARY_CONDITIONS = "necessary-conditions"
 
 ORDER_ATOL = 1e-9
 DEFAULT_GRID_LIMIT = 400
@@ -252,7 +253,7 @@ def _certify_on_grid(
         return OrderVerdict(
             relation,
             INCONCLUSIVE,
-            EXACT,
+            NECESSARY_CONDITIONS,
             detail=(
                 f"grid of {size} points exceeds limit {grid_limit}; "
                 + _necessary_condition_report(x, y, atol)
