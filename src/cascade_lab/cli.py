@@ -268,6 +268,8 @@ def cmd_orders(args) -> int:
     b = load_model(args.model_b)
     if a.n_systems != b.n_systems:
         raise ValueError("models must have the same number of constituent systems")
+    if args.cs is not None and not 0 <= args.cs < a.n_systems:
+        raise IndexError(f"--cs {args.cs} out of range: must be in [0, {a.n_systems})")
     cs_list = [args.cs] if args.cs is not None else list(range(a.n_systems))
     results = []
     for cs in cs_list:
@@ -399,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="order hypotheses between two models and implied conclusions")
     p.add_argument("model_a")
     p.add_argument("model_b")
-    p.add_argument("--grid-limit", type=int, default=400)
+    p.add_argument("--grid-limit", type=_positive_int, default=orders.DEFAULT_GRID_LIMIT)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_compare)
 
@@ -409,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relation", choices=_RELATIONS, required=True)
     p.add_argument("--cs", type=int, default=None)
     p.add_argument("--axis", type=int, default=None)
-    p.add_argument("--grid-limit", type=int, default=400)
+    p.add_argument("--grid-limit", type=_positive_int, default=orders.DEFAULT_GRID_LIMIT)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_orders)
 

@@ -6,14 +6,17 @@ order. Univariate and orthant-based checks are exact on the merged supports.
 The supermodular and increasing-directionally-concave cones are certified by
 linear programming over all functions on the integer bounding box of the two
 supports: the cone conditions reduce to unit-cell difference inequalities
-there, membership of the optimizing function is explicit, and a negative
-optimum yields that function as a falsifying witness. The Laplace-transform
-order quantifies over a continuum and is only grid-falsified: a reported
-violation is sound, a pass means no violation on the chosen grid.
+there. Each LP verdict rests on a weak-duality lower bound on the optimum
+and on a near-optimal function that is re-checked against the cone and the
+box; a function with a negative gap is the falsifying witness. The
+Laplace-transform order quantifies over a continuum and is only
+grid-falsified: a reported violation is sound, a pass means no violation on
+the chosen grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Sequence
@@ -21,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .pmf import JointPmf, MarginalPmf
-from .simplex import ITERATION_LIMIT, solve_lp
+from .simplex import CONE_TOL, solve_lp
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -49,6 +52,9 @@ class OrderVerdict:
     method: str
     witness: dict | None = None
     detail: str = ""
+    lower_bound: float | None = None
+    upper_bound: float | None = None
+    iterations: int | None = None
 
     def __post_init__(self):
         if self.outcome == FAILS and self.witness is None:
@@ -65,6 +71,9 @@ class OrderVerdict:
             "method": self.method,
             "witness": self.witness,
             "detail": self.detail,
+            "lower_bound": self.lower_bound,
+            "upper_bound": self.upper_bound,
+            "iterations": self.iterations,
         }
 
 
@@ -240,10 +249,11 @@ def _certify_on_grid(
     atol: float,
     grid_limit: int,
 ) -> OrderVerdict:
-    """Minimize sum((y - x) * xi) over functions xi in [-1, 1] on the integer
-    bounding box that satisfy every stencil row; a nonnegative optimum
-    certifies the order. A box of more than ``grid_limit`` points gets an
-    inconclusive necessary-condition report instead."""
+    """Bound min sum((y - x) * xi) over functions xi in [-1, 1] on the integer
+    bounding box that satisfy every stencil row. A lower bound >= -atol
+    certifies the order; a function whose re-checked gap is < -atol falsifies
+    it; anything between is inconclusive. A box of more than ``grid_limit``
+    points gets an inconclusive necessary-condition report instead."""
     if x.dimension != y.dimension:
         raise ValueError("dimension mismatch")
     axes = _bounding_box(x, y)
@@ -260,27 +270,27 @@ def _certify_on_grid(
             ),
         )
     c = (_scatter(y, axes) - _scatter(x, axes)).ravel()
-    # Shift xi = z - 1 so z lives in [0, 2]: structural rows keep rhs 0
-    # (their coefficients sum to zero) and the upper bounds become z <= 2.
-    A = np.vstack([_stencil_rows(shape, s) for s in stencils] + [np.eye(size)])
-    b = np.concatenate([np.zeros(A.shape[0] - size), np.full(size, 2.0)])
-    result = solve_lp(c, A, b)
-    if result.status == ITERATION_LIMIT:
-        return OrderVerdict(
-            relation,
-            INCONCLUSIVE,
-            LP_CERTIFIED,
-            detail=f"simplex hit its iteration limit after {result.iterations} pivots",
-        )
-    optimum = result.objective - float(c.sum())
-    if optimum >= -atol:
-        return OrderVerdict(
-            relation,
-            HOLDS,
-            LP_CERTIFIED,
-            detail=f"LP optimum {optimum:.3e} over {size}-point grid",
-        )
-    xi = (result.x - 1.0).reshape(shape)
+    S = np.vstack([_stencil_rows(shape, s) for s in stencils])
+    result = solve_lp(c, S)
+    bounds = {
+        "lower_bound": result.lower,
+        "upper_bound": result.upper if math.isfinite(result.upper) else None,
+        "iterations": result.iterations,
+    }
+    summary = (
+        f"optimum in [{result.lower:.3e}, {result.upper:.3e}] over {size}-point grid "
+        f"after {result.iterations} interior-point iterations ({result.status})"
+    )
+    if result.lower >= -atol:
+        return OrderVerdict(relation, HOLDS, LP_CERTIFIED, detail=summary, **bounds)
+    # Re-check the witness without the solver: inside the box, on the cone,
+    # and its gap recomputed from the two pmfs.
+    xi = result.x
+    gap = float(c @ xi)
+    on_cone = float((S @ xi).max(initial=0.0)) <= CONE_TOL
+    if not (gap < -atol and on_cone and np.abs(xi).max() <= 1.0):
+        return OrderVerdict(relation, INCONCLUSIVE, LP_CERTIFIED, detail=summary, **bounds)
+    xi = xi.reshape(shape)
     table = [
         [[int(axes[j][k[j]]) for j in range(len(axes))], float(xi[k])]
         for k in product(*(range(s) for s in shape))
@@ -289,8 +299,9 @@ def _certify_on_grid(
         relation,
         FAILS,
         LP_CERTIFIED,
-        witness={"xi": table, "gap": float(optimum)},
-        detail="the witness function violates the defining expectation inequality",
+        witness={"xi": table, "gap": gap},
+        detail=f"the witness function violates the defining expectation inequality; {summary}",
+        **bounds,
     )
 
 

@@ -336,3 +336,39 @@ class TestProfileCoverage:
         assert not check.holds
         assert check.violated_at == 1
         assert "degree 1" in check.reason
+
+
+class TestOrdersArguments:
+    PAIR = [str(fixture_path("example1_p2")), str(fixture_path("example2_p3"))]
+
+    @pytest.mark.parametrize("cs", ["-1", "2"])
+    def test_cs_out_of_range(self, cs, capsys):
+        assert main(["orders", *self.PAIR, "--relation", "idcv", "--cs", cs]) == 2
+        assert "must be in [0, 2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["orders", "compare"])
+    def test_grid_limit_must_be_positive(self, command):
+        extra = ["--relation", "idcv"] if command == "orders" else []
+        with pytest.raises(SystemExit) as err:
+            main([command, *self.PAIR, *extra, "--grid-limit", "-5"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", ["orders", "compare"])
+    def test_grid_limit_default(self, command):
+        from cascade_lab.cli import build_parser
+        from cascade_lab.orders import DEFAULT_GRID_LIMIT
+
+        extra = ["--relation", "idcv"] if command == "orders" else []
+        args = build_parser().parse_args([command, *self.PAIR, *extra])
+        assert args.grid_limit == DEFAULT_GRID_LIMIT
+
+    def test_lp_verdicts_report_bounds(self, capsys):
+        assert main(["orders", *self.PAIR, "--relation", "idcv", "--json"]) == 0
+        for row in json.loads(capsys.readouterr().out)["results"]:
+            assert row["lower_bound"] <= row["upper_bound"]
+            assert row["iterations"] > 0
+            if row["outcome"] == "fails":
+                assert row["upper_bound"] == row["witness"]["gap"]
+        assert main(["orders", *self.PAIR, "--relation", "concordance", "--json"]) == 0
+        for row in json.loads(capsys.readouterr().out)["results"]:
+            assert row["lower_bound"] is None and row["iterations"] is None
