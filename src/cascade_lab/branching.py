@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .children import CHILDREN_MASS_TOL, ChildrenPmf, offspring_laws
+from .children import CHILDREN_MASS_TOL, ChildrenPmf, allowed_child_types, offspring_laws
 from .model import SystemModel
 from .pmf import pgf
 
@@ -31,6 +31,9 @@ CRITICAL_BAND = 1e-9
 ITERATE_SLACK = 2 * CHILDREN_MASS_TOL
 # Newton steps after which the solve stops and reports converged = False.
 MAX_NEWTON_STEPS = 100
+# A type stops once its Newton step falls below this; away from criticality
+# the iterate is then at rounding level.
+NEWTON_STEP_TOL = 1e-12
 
 SUBCRITICAL = "subcritical"
 CRITICAL = "critical"
@@ -42,8 +45,8 @@ class MeanMatrix:
     """Expected-children matrix: entry (i, j) is the mean number of type-j
     children of a failing type-i agent.
 
-    Structural facts checked at construction: a CS-i agent never produces
-    fresh type-i children nor internally-infected children of another CS, and
+    Structural facts checked at construction: a CS-i agent of either type
+    produces children only of the types in ``allowed_child_types``, and
     removing one internal neighbor cannot raise the internal children mean.
     """
 
@@ -58,13 +61,12 @@ class MeanMatrix:
         if np.any(values < 0):
             raise ValueError("mean matrix entries must be nonnegative")
         n = values.shape[0] // 2
+        for row in range(2 * n):
+            allowed = allowed_child_types(row % n, n)
+            for j in range(2 * n):
+                if j not in allowed and values[row, j] > STRUCTURAL_ZERO:
+                    raise ValueError(f"entry ({row}, {j}) must be a structural zero")
         for i in range(n):
-            for row in (i, n + i):
-                if values[row, i] > STRUCTURAL_ZERO:
-                    raise ValueError(f"entry ({row}, {i}) must be a structural zero")
-            for j in range(n):
-                if j != i and values[i, n + j] > STRUCTURAL_ZERO:
-                    raise ValueError(f"entry ({i}, {n + j}) must be a structural zero")
             if values[i, n + i] < values[n + i, n + i] - 1e-12:
                 raise ValueError(
                     f"internal children mean of type {n + i} exceeds that of type {i}"
@@ -204,15 +206,15 @@ class PoEVector:
         }
 
 
-def solve_extinction(children: Sequence[ChildrenPmf], tol: float = 1e-12) -> PoEVector:
+def solve_extinction(children: Sequence[ChildrenPmf]) -> PoEVector:
     """Minimal fixed point of the offspring generating functions.
 
     Types where f^k(0) stays 0 for every k never die out. On the others
     Newton's method from 0 rises monotonically to the fixed point (Esparza,
     Kiefer & Luttenberger, SIAM J. Comput. 2010) until every step is below
-    ``tol``; a type that reaches 1 is solved. In the critical regime (spectral
-    radius within CRITICAL_BAND of 1) with every type able to die the answer
-    is all ones, which Newton would approach only linearly.
+    NEWTON_STEP_TOL; a type that reaches 1 is solved. In the critical regime
+    (spectral radius within CRITICAL_BAND of 1) with every type able to die
+    the answer is all ones, which Newton would approach only linearly.
     """
     mm = mean_matrix(children)
     rho = spectral_radius(mm)
@@ -242,7 +244,7 @@ def solve_extinction(children: Sequence[ChildrenPmf], tol: float = 1e-12) -> PoE
         if np.any(step < -ITERATE_SLACK):
             raise RuntimeError("fixed-point iteration not monotone")
         s[active] = np.clip(s[active] + step, 0.0, 1.0)
-        active &= (s < 1.0) & np.any(np.abs(step) >= tol)
+        active &= (s < 1.0) & np.any(np.abs(step) >= NEWTON_STEP_TOL)
     return PoEVector(
         values=s,
         spectral_radius_value=rho,
@@ -253,15 +255,15 @@ def solve_extinction(children: Sequence[ChildrenPmf], tol: float = 1e-12) -> PoE
     )
 
 
-def extinction_probabilities(model: SystemModel, tol: float = 1e-12) -> PoEVector:
+def extinction_probabilities(model: SystemModel) -> PoEVector:
     """Die-out probabilities of the cascade seeded in each type of ``model``."""
-    return solve_extinction(offspring_laws(model), tol=tol)
+    return solve_extinction(offspring_laws(model))
 
 
-def cascade_probability(model: SystemModel, seed_cs: int, tol: float = 1e-12) -> float:
+def cascade_probability(model: SystemModel, seed_cs: int) -> float:
     """Probability that a single random failure in CS ``seed_cs`` sets off an
     unending cascade (one minus the die-out probability of the fresh type)."""
     if not 0 <= seed_cs < model.n_systems:
         raise IndexError(f"seed_cs {seed_cs} out of range")
-    poe = extinction_probabilities(model, tol=tol)
+    poe = extinction_probabilities(model)
     return float(1.0 - poe.values[seed_cs])

@@ -4,8 +4,9 @@
 
 All commands read JSON model files, print a human table by default or JSON
 with ``--json``, and are byte-for-byte reproducible given the same inputs and
-seed. CS and type indices are 0-based throughout. Exit codes: 0 success,
-1 validation failure, 2 runtime/usage error.
+seed. The only file a command writes is ``simulate-graph --output``, its
+per-trial CSV rows. CS and type indices are 0-based throughout. Exit codes:
+0 success, 1 validation failure, 2 runtime/usage error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import argparse
 import csv
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -94,10 +94,10 @@ def cmd_validate(args) -> int:
     return status
 
 
-def build_solve_report(model: SystemModel, tol: float) -> dict:
+def build_solve_report(model: SystemModel) -> dict:
     laws = offspring_laws(model)
     mm = branching.mean_matrix(laws)
-    poe = branching.solve_extinction(laws, tol=tol)
+    poe = branching.solve_extinction(laws)
     return {
         "model": model.name,
         "n_systems": model.n_systems,
@@ -110,9 +110,7 @@ def build_solve_report(model: SystemModel, tol: float) -> dict:
 
 def cmd_solve(args) -> int:
     model = load_model(args.model)
-    report = build_solve_report(model, args.tol)
-    if args.output:
-        Path(args.output).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    report = build_solve_report(model)
     if args.json:
         _print_json(report)
     else:
@@ -319,8 +317,6 @@ def cmd_simulate_bp(args) -> int:
     payload["generation_cap"] = args.generation_cap
     payload["population_cap"] = args.population_cap
     payload["seed_type"] = args.seed_type
-    if args.output:
-        Path(args.output).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if args.json:
         _print_json(payload)
     else:
@@ -393,9 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="mean matrix, criticality, die-out probabilities")
     p.add_argument("model")
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--output")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("compare", help="order hypotheses between two models and implied conclusions")
@@ -423,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generation-cap", type=_positive_int, default=200)
     p.add_argument("--population-cap", type=_positive_int, default=100000)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--output")
     p.set_defaults(fn=cmd_simulate_bp)
 
     p = sub.add_parser("simulate-graph", help="finite-graph cascade Monte Carlo")

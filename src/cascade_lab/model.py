@@ -105,11 +105,12 @@ class SystemModel:
     derived from the vulnerability profile and never read from this matrix).
 
     ``internal_degree_floor`` distinguishes the two input conventions:
-      * degree mode (floor on): every agent has internal degree >= 1 and the
-        offspring laws are built by binomial thinning of the degrees;
-      * children mode (floor off): the pmfs are read directly as offspring
-        counts, which is the right reading for symmetric two-system inputs
-        with unit transmission probabilities.
+      * degree mode (floor on): every agent has internal degree >= 1;
+      * children mode (floor off): internal degree 0 is allowed.
+    It only switches the ``degree-floor`` check. In both modes the offspring
+    laws are binomial thinnings of the degrees; a fresh agent's offspring
+    counts are its degree pmf exactly when every transmission probability
+    and vulnerability value is 1.
     """
 
     degree_dists: tuple[JointPmf, ...]
@@ -175,7 +176,7 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def validate_model(model: SystemModel, tol: float = MASS_TOL) -> ValidationReport:
+def validate_model(model: SystemModel) -> ValidationReport:
     """Check every model invariant and return the full list of violations.
 
     Codes: ``mass-sum`` (a pmf does not sum to 1), ``dimension`` (pmf
@@ -193,13 +194,13 @@ def validate_model(model: SystemModel, tol: float = MASS_TOL) -> ValidationRepor
                 Violation("dimension", where, f"dimension {pmf.dimension}, expected {n}")
             )
             continue
-        if not pmf.is_normalized(tol):
+        if not pmf.is_normalized():
             found.append(
                 Violation("mass-sum", where, f"total mass {pmf.total_mass!r} != 1")
             )
         if model.internal_degree_floor:
             zero_mass = float(pmf.mass[pmf.support[:, i] == 0].sum())
-            if zero_mass > tol:
+            if zero_mass > MASS_TOL:
                 found.append(
                     Violation(
                         "degree-floor",

@@ -1,11 +1,12 @@
 """Model files: JSON load/save and the bundled example fixtures.
 
 A model file holds ``n_systems``, a ``mode`` flag (``degree`` keeps the
-internal-degree floor, ``children`` lifts it and reads the pmfs as offspring
-counts), one sparse pmf per CS as ``[[degree-vector], mass]`` entries, the
-inter-CS infection matrix (diagonal ``null``), and one vulnerability profile per
-CS. Masses are parsed as exact decimals so the unit-mass check sees the
-digits that were written, not their float rounding.
+internal-degree floor, ``children`` lifts it; both thin the degrees into
+offspring laws), one sparse pmf per CS as ``[[degree-vector], mass]``
+entries, the inter-CS infection matrix (diagonal ``null``), and one
+vulnerability profile per CS. Masses are parsed as exact decimals so the
+unit-mass check sees the digits that were written, not their float
+rounding.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from .model import (
     VulnerabilityProfile,
     validate_model,
 )
-from .pmf import JointPmf
+from .pmf import MASS_TOL, JointPmf
 
-MASS_SUM_TOL = Decimal("1e-12")
+# The float check's tolerance, applied to the masses as written.
+MASS_SUM_TOL = Decimal(repr(MASS_TOL))
 
 
 class ModelFormatError(ValueError):

@@ -35,6 +35,8 @@ LP_CERTIFIED = "lp-certified"
 GRID_FALSIFICATION = "grid-falsification"
 NECESSARY_CONDITIONS = "necessary-conditions"
 
+# Slack of every order comparison: cdf and orthant gaps, marginal masses,
+# transform values and LP optimum bounds.
 ORDER_ATOL = 1e-9
 DEFAULT_GRID_LIMIT = 400
 LT_DEFAULT_LEVELS = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0)
@@ -77,19 +79,19 @@ class OrderVerdict:
         }
 
 
-def compare_fsd(x: MarginalPmf, y: MarginalPmf, atol: float = ORDER_ATOL) -> OrderVerdict:
+def compare_fsd(x: MarginalPmf, y: MarginalPmf) -> OrderVerdict:
     """First-order stochastic dominance: x <= y iff F_x(t) >= F_y(t) for all t."""
     points = np.union1d(x.support, y.support)
     for t in points:
         fx, fy = x.cdf_at(t), y.cdf_at(t)
-        if fx < fy - atol:
+        if fx < fy - ORDER_ATOL:
             return OrderVerdict(
                 "fsd", FAILS, EXACT, witness={"t": int(t), "F_x": fx, "F_y": fy}
             )
     return OrderVerdict("fsd", HOLDS, EXACT)
 
 
-def compare_icv(x: MarginalPmf, y: MarginalPmf, atol: float = ORDER_ATOL) -> OrderVerdict:
+def compare_icv(x: MarginalPmf, y: MarginalPmf) -> OrderVerdict:
     """Increasing-concave (= second-order stochastic dominance) order:
     x <= y iff the running sums of F_x dominate those of F_y at every level."""
     top = int(max(x.support.max(), y.support.max()))
@@ -97,7 +99,7 @@ def compare_icv(x: MarginalPmf, y: MarginalPmf, atol: float = ORDER_ATOL) -> Ord
     for t in range(top + 1):
         sum_x += x.cdf_at(t)
         sum_y += y.cdf_at(t)
-        if sum_x < sum_y - atol:
+        if sum_x < sum_y - ORDER_ATOL:
             return OrderVerdict(
                 "icv",
                 FAILS,
@@ -142,26 +144,24 @@ def _orthant_tables(pmf: JointPmf, axes: list[np.ndarray]) -> tuple[np.ndarray, 
     return lower, upper
 
 
-def _marginal_mismatch(x: JointPmf, y: JointPmf, atol: float) -> dict | None:
+def _marginal_mismatch(x: JointPmf, y: JointPmf) -> dict | None:
     from .pmf import marginal
 
     for axis in range(x.dimension):
         mx, my = marginal(x, axis), marginal(y, axis)
         for d in np.union1d(mx.support, my.support):
             px, py = mx.prob(int(d)), my.prob(int(d))
-            if abs(px - py) > atol:
+            if abs(px - py) > ORDER_ATOL:
                 return {"axis": axis, "degree": int(d), "p_x": px, "p_y": py}
     return None
 
 
-def compare_concordance(
-    x: JointPmf, y: JointPmf, atol: float = ORDER_ATOL
-) -> OrderVerdict:
+def compare_concordance(x: JointPmf, y: JointPmf) -> OrderVerdict:
     """Concordance order: identical marginals plus F_x <= F_y and
     P(X > t) <= P(Y > t) at every point of the merged support grid."""
     if x.dimension != y.dimension:
         raise ValueError("dimension mismatch")
-    mismatch = _marginal_mismatch(x, y, atol)
+    mismatch = _marginal_mismatch(x, y)
     if mismatch is not None:
         return OrderVerdict(
             "concordance",
@@ -176,7 +176,7 @@ def compare_concordance(
     for name, gx, gy in (("lower", lower_x, lower_y), ("upper", upper_x, upper_y)):
         gap = gx - gy
         worst = np.unravel_index(np.argmax(gap), gap.shape)
-        if gap[worst] > atol:
+        if gap[worst] > ORDER_ATOL:
             t = tuple(int(axes[j][worst[j]]) for j in range(len(axes)))
             return OrderVerdict(
                 "concordance",
@@ -246,14 +246,14 @@ def _certify_on_grid(
     x: JointPmf,
     y: JointPmf,
     stencils: list[list],
-    atol: float,
     grid_limit: int,
 ) -> OrderVerdict:
     """Bound min sum((y - x) * xi) over functions xi in [-1, 1] on the integer
-    bounding box that satisfy every stencil row. A lower bound >= -atol
-    certifies the order; a function whose re-checked gap is < -atol falsifies
-    it; anything between is inconclusive. A box of more than ``grid_limit``
-    points gets an inconclusive necessary-condition report instead."""
+    bounding box that satisfy every stencil row. A lower bound >= -ORDER_ATOL
+    certifies the order; a function whose re-checked gap is < -ORDER_ATOL
+    falsifies it; anything between is inconclusive. A box of more than
+    ``grid_limit`` points gets an inconclusive necessary-condition report
+    instead."""
     if x.dimension != y.dimension:
         raise ValueError("dimension mismatch")
     axes = _bounding_box(x, y)
@@ -266,7 +266,7 @@ def _certify_on_grid(
             NECESSARY_CONDITIONS,
             detail=(
                 f"grid of {size} points exceeds limit {grid_limit}; "
-                + _necessary_condition_report(x, y, atol)
+                + _necessary_condition_report(x, y)
             ),
         )
     c = (_scatter(y, axes) - _scatter(x, axes)).ravel()
@@ -281,14 +281,14 @@ def _certify_on_grid(
         f"optimum in [{result.lower:.3e}, {result.upper:.3e}] over {size}-point grid "
         f"after {result.iterations} interior-point iterations ({result.status})"
     )
-    if result.lower >= -atol:
+    if result.lower >= -ORDER_ATOL:
         return OrderVerdict(relation, HOLDS, LP_CERTIFIED, detail=summary, **bounds)
     # Re-check the witness without the solver: inside the box, on the cone,
     # and its gap recomputed from the two pmfs.
     xi = result.x
     gap = float(c @ xi)
     on_cone = float((S @ xi).max(initial=0.0)) <= CONE_TOL
-    if not (gap < -atol and on_cone and np.abs(xi).max() <= 1.0):
+    if not (gap < -ORDER_ATOL and on_cone and np.abs(xi).max() <= 1.0):
         return OrderVerdict(relation, INCONCLUSIVE, LP_CERTIFIED, detail=summary, **bounds)
     xi = xi.reshape(shape)
     table = [
@@ -305,9 +305,9 @@ def _certify_on_grid(
     )
 
 
-def _necessary_condition_report(x: JointPmf, y: JointPmf, atol: float) -> str:
+def _necessary_condition_report(x: JointPmf, y: JointPmf) -> str:
     lines = []
-    concordance = compare_concordance(x, y, atol)
+    concordance = compare_concordance(x, y)
     lines.append(f"orthant/concordance check: {concordance.outcome}")
     for i, j in combinations(range(x.dimension), 2):
         def cov(p: JointPmf) -> float:
@@ -316,23 +316,20 @@ def _necessary_condition_report(x: JointPmf, y: JointPmf, atol: float) -> str:
             return float(p.mass @ (a * b)) - float(p.mass @ a) * float(p.mass @ b)
 
         cx, cy = cov(x), cov(y)
-        verdict = "ok" if cx <= cy + atol else "violated"
+        verdict = "ok" if cx <= cy + ORDER_ATOL else "violated"
         lines.append(f"cov axis ({i},{j}): {cx:.6g} vs {cy:.6g} [{verdict}]")
     return "; ".join(lines)
 
 
 def certify_supermodular(
-    x: JointPmf,
-    y: JointPmf,
-    atol: float = ORDER_ATOL,
-    grid_limit: int = DEFAULT_GRID_LIMIT,
+    x: JointPmf, y: JointPmf, grid_limit: int = DEFAULT_GRID_LIMIT
 ) -> OrderVerdict:
     """Supermodular order. Bivariate inputs reduce exactly to concordance;
     higher dimensions are LP-certified on the integer bounding box, falling
     back to an inconclusive necessary-condition report when the box exceeds
     ``grid_limit`` points."""
     if x.dimension == 2:
-        inner = compare_concordance(x, y, atol)
+        inner = compare_concordance(x, y)
         return OrderVerdict(
             "supermodular",
             inner.outcome,
@@ -341,20 +338,17 @@ def certify_supermodular(
             detail="bivariate supermodular order coincides with concordance",
         )
     return _certify_on_grid(
-        "supermodular", x, y, _supermodular_stencils(x.dimension), atol, grid_limit
+        "supermodular", x, y, _supermodular_stencils(x.dimension), grid_limit
     )
 
 
 def certify_idcv(
-    x: JointPmf,
-    y: JointPmf,
-    atol: float = ORDER_ATOL,
-    grid_limit: int = DEFAULT_GRID_LIMIT,
+    x: JointPmf, y: JointPmf, grid_limit: int = DEFAULT_GRID_LIMIT
 ) -> OrderVerdict:
     """Increasing directionally-concave order, LP-certified over the cone of
     increasing, componentwise-concave, submodular functions on the integer
     bounding box of the two supports."""
-    return _certify_on_grid("idcv", x, y, _idcv_stencils(x.dimension), atol, grid_limit)
+    return _certify_on_grid("idcv", x, y, _idcv_stencils(x.dimension), grid_limit)
 
 
 def default_lt_grid(dimension: int, levels: Sequence[float] = LT_DEFAULT_LEVELS) -> np.ndarray:
@@ -363,22 +357,25 @@ def default_lt_grid(dimension: int, levels: Sequence[float] = LT_DEFAULT_LEVELS)
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def compare_lt(
-    x,
-    y,
-    s_grid: np.ndarray | None = None,
-    atol: float = ORDER_ATOL,
-) -> OrderVerdict:
+def compare_lt(x, y, s_grid: np.ndarray | None = None) -> OrderVerdict:
     """Laplace-transform order on a finite grid of arguments:
     x <= y needs E[exp(-s.x)] >= E[exp(-s.y)] at every s > 0; only the grid
     points are checked, so a pass falsifies nothing beyond the grid while a
     reported violation is a genuine counterexample. ``x`` and ``y`` are any
-    laws with a generating function ``gf``; the transform is gf(exp(-s))."""
+    laws with a generating function ``gf``; the transform is gf(exp(-s)).
+
+    The default grid spans only the coordinates where either support is
+    nonzero. The transform does not depend on the others, which are held at
+    the lowest level, so a violation carries the witness the full tensor
+    grid would find first."""
     if x.support.shape[1] != y.support.shape[1]:
         raise ValueError("dimension mismatch")
     dim = x.support.shape[1]
     if s_grid is None:
-        s_grid = default_lt_grid(dim)
+        live = np.flatnonzero(np.any(x.support, axis=0) | np.any(y.support, axis=0))
+        s_grid = np.full((len(LT_DEFAULT_LEVELS) ** live.size, dim), LT_DEFAULT_LEVELS[0])
+        if live.size:
+            s_grid[:, live] = default_lt_grid(live.size)
     s_grid = np.asarray(s_grid, dtype=np.float64)
     if s_grid.ndim == 1:
         s_grid = s_grid[:, None]
@@ -389,7 +386,7 @@ def compare_lt(
         u = np.exp(-block)[:, None, :]
         lt_x = x.gf(u)
         lt_y = y.gf(u)
-        bad = np.nonzero(lt_x < lt_y - atol)[0]
+        bad = np.nonzero(lt_x < lt_y - ORDER_ATOL)[0]
         if bad.size:
             k = int(bad[0])
             return OrderVerdict(

@@ -20,6 +20,8 @@ import numpy as np
 MASS_TOL = 1e-12
 # Tolerance for pmf equality / cell-wise comparisons.
 EQ_TOL = 1e-9
+# Discarded mass above which truncated_marginal warns.
+TRUNCATION_WARN_TOL = 1e-9
 
 
 class PmfError(ValueError):
@@ -207,16 +209,9 @@ def kl_divergence(p: JointPmf, q: JointPmf) -> float:
 
 def is_independent(joint: JointPmf, tol: float = EQ_TOL) -> bool:
     """True iff the joint pmf deviates from the product of its marginals by
-    at most ``tol`` in every cell of the marginal product grid."""
+    at most ``tol`` in every cell."""
     margs = [marginal(joint, j) for j in range(joint.dimension)]
-    grids = np.meshgrid(*[m.support for m in margs], indexing="ij")
-    cells = np.stack([g.ravel() for g in grids], axis=1)
-    prod = np.ones(cells.shape[0])
-    for j, m in enumerate(margs):
-        lookup = dict(zip(m.support.tolist(), m.mass.tolist()))
-        prod *= np.array([lookup[int(d)] for d in cells[:, j]])
-    actual = np.array([joint.prob(c) for c in cells])
-    return bool(np.max(np.abs(actual - prod)) <= tol)
+    return joints_equal(joint, product_pmf(*margs), tol)
 
 
 def correlation(joint: JointPmf, i: int, j: int) -> float:
@@ -252,14 +247,13 @@ def truncated_marginal(
     pmf_fn: Callable[[int], float],
     d_max: int,
     d_min: int = 0,
-    warn_tol: float = 1e-9,
 ) -> MarginalPmf:
     """Finite truncation of a parametric pmf given as a function of the degree.
 
     Enumerates ``d_min..d_max``, renormalizes, and warns when the discarded
-    mass exceeds ``warn_tol``. Intended for Poisson/power-law style families
-    that have infinite support in closed form but need an explicit finite support
-    here.
+    mass exceeds ``TRUNCATION_WARN_TOL``. Intended for Poisson/power-law
+    style families that have infinite support in closed form but need an
+    explicit finite support here.
     """
     support = np.arange(d_min, d_max + 1)
     mass = np.array([float(pmf_fn(int(d))) for d in support])
@@ -268,7 +262,7 @@ def truncated_marginal(
     total = mass.sum()
     if total <= 0:
         raise PmfError("pmf function assigns zero mass to the whole range")
-    if abs(total - 1.0) > warn_tol:
+    if abs(total - 1.0) > TRUNCATION_WARN_TOL:
         warnings.warn(
             f"truncation to [{d_min}, {d_max}] discards mass {1.0 - total:.3e}; renormalizing",
             stacklevel=2,
@@ -277,9 +271,9 @@ def truncated_marginal(
     return MarginalPmf(support[keep], mass[keep] / total)
 
 
-def marginals_equal(a: MarginalPmf, b: MarginalPmf, tol: float = EQ_TOL) -> bool:
+def marginals_equal(a: MarginalPmf, b: MarginalPmf) -> bool:
     degrees = np.union1d(a.support, b.support)
-    return all(abs(a.prob(int(d)) - b.prob(int(d))) <= tol for d in degrees)
+    return all(abs(a.prob(int(d)) - b.prob(int(d))) <= EQ_TOL for d in degrees)
 
 
 def joints_equal(a: JointPmf, b: JointPmf, tol: float = EQ_TOL) -> bool:

@@ -32,11 +32,12 @@ GENERATION_CAP = "generation-cap"
 POPULATION_CAP = "population-cap"
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     p = successes / trials
+    z = _Z95
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4 * trials * trials)) / denom

@@ -15,7 +15,7 @@ from cascade_lab import (
     spectral_radius,
 )
 from cascade_lab.branching import MeanMatrix, _gf_vector
-from cascade_lab.children import ChildrenPmf, build_children
+from cascade_lab.children import ChildrenPmf, OffspringLaw, build_children
 
 from conftest import (
     MU_P1,
@@ -81,6 +81,21 @@ class TestMeanMatrix:
                     if j != i:
                         assert mm[n + i, j] == pytest.approx(mm[i, j], abs=1e-12)
                 assert mm[i, n + i] >= mm[n + i, n + i] - 1e-12
+
+    def test_forbidden_child_of_infected_type(self):
+        # Type 2 is an infected CS-0 agent; a type-3 child (infected CS-1) is
+        # forbidden for it exactly as for the fresh CS-0 type in row 0.
+        for row in (0, 2):
+            laws = [
+                OffspringLaw(t, 2, np.zeros((1, 4), dtype=np.int64), np.array([1.0]), np.ones(4))
+                for t in range(4)
+            ]
+            laws[row] = OffspringLaw(
+                row, 2, np.array([[0, 0, 0, 1]]), np.array([1.0]), np.ones(4)
+            )
+            message = rf"entry \({row}, 3\) must be a structural zero"
+            with pytest.raises(ValueError, match=message):
+                mean_matrix(laws)
 
 
 class TestPositiveRegularity:

@@ -372,3 +372,21 @@ class TestOrdersArguments:
         assert main(["orders", *self.PAIR, "--relation", "concordance", "--json"]) == 0
         for row in json.loads(capsys.readouterr().out)["results"]:
             assert row["lower_bound"] is None and row["iterations"] is None
+
+
+class TestRemovedOptions:
+    MODEL = str(fixture_path("example1_p1"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", MODEL, "--tol", "1e-13"],
+            ["solve", MODEL, "--output", "out.json"],
+            ["simulate-bp", MODEL, "--output", "out.json"],
+        ],
+    )
+    def test_unknown_argument(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
