@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -375,7 +376,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing reads it and
+    leaves it unchanged, so every ``main`` call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="cascade-lab",
         description="Cascading-failure analysis of interdependent systems (0-based CS indices)",
@@ -444,7 +448,7 @@ def main(argv=None) -> int:
     except (ModelFormatError, json.JSONDecodeError) as exc:
         print(f"model file error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, IndexError, RuntimeError) as exc:

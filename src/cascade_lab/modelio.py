@@ -79,6 +79,8 @@ def _parse_profile(raw, where: str, issues: list[str]) -> VulnerabilityProfile |
 def parse_model(document: dict) -> SystemModel:
     """Build a SystemModel from a parsed model document (masses may be
     Decimal); raises ModelFormatError listing every structural issue."""
+    if not isinstance(document, dict):
+        raise ModelFormatError(["model document must be a JSON object"])
     issues: list[str] = []
     n = document.get("n_systems")
     if not isinstance(n, int) or n < 2:

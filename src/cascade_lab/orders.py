@@ -16,6 +16,7 @@ the chosen grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -241,15 +242,22 @@ def _idcv_stencils(ndim: int) -> list[list]:
     )
 
 
-def _certify_on_grid(
-    relation: str,
-    x: JointPmf,
-    y: JointPmf,
-    stencils: list[list],
-    grid_limit: int,
-) -> OrderVerdict:
+# Bounded so that a long-lived process comparing many grid shapes does not
+# keep every cone matrix it ever built.
+@functools.lru_cache(maxsize=32)
+def _cone_matrix(relation: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Stencil rows of the supermodular or idcv cone on the grid of
+    ``shape``, built once per (cone, shape) and returned read-only."""
+    stencils = _supermodular_stencils if relation == "supermodular" else _idcv_stencils
+    S = np.vstack([_stencil_rows(shape, s) for s in stencils(len(shape))])
+    S.flags.writeable = False
+    return S
+
+
+def _certify_on_grid(relation: str, x: JointPmf, y: JointPmf, grid_limit: int) -> OrderVerdict:
     """Bound min sum((y - x) * xi) over functions xi in [-1, 1] on the integer
-    bounding box that satisfy every stencil row. A lower bound >= -ORDER_ATOL
+    bounding box that satisfy every row of the ``relation`` cone
+    ("supermodular" or "idcv"). A lower bound >= -ORDER_ATOL
     certifies the order; a function whose re-checked gap is < -ORDER_ATOL
     falsifies it; anything between is inconclusive. A box of more than
     ``grid_limit`` points gets an inconclusive necessary-condition report
@@ -270,7 +278,7 @@ def _certify_on_grid(
             ),
         )
     c = (_scatter(y, axes) - _scatter(x, axes)).ravel()
-    S = np.vstack([_stencil_rows(shape, s) for s in stencils])
+    S = _cone_matrix(relation, shape)
     result = solve_lp(c, S)
     bounds = {
         "lower_bound": result.lower,
@@ -337,9 +345,7 @@ def certify_supermodular(
             witness=inner.witness,
             detail="bivariate supermodular order coincides with concordance",
         )
-    return _certify_on_grid(
-        "supermodular", x, y, _supermodular_stencils(x.dimension), grid_limit
-    )
+    return _certify_on_grid("supermodular", x, y, grid_limit)
 
 
 def certify_idcv(
@@ -348,7 +354,7 @@ def certify_idcv(
     """Increasing directionally-concave order, LP-certified over the cone of
     increasing, componentwise-concave, submodular functions on the integer
     bounding box of the two supports."""
-    return _certify_on_grid("idcv", x, y, _idcv_stencils(x.dimension), grid_limit)
+    return _certify_on_grid("idcv", x, y, grid_limit)
 
 
 def default_lt_grid(dimension: int, levels: Sequence[float] = LT_DEFAULT_LEVELS) -> np.ndarray:

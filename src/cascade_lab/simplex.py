@@ -2,9 +2,15 @@
 
 Solves  min c.xi  subject to  S xi <= 0,  -1 <= xi <= 1  by Mehrotra's
 predictor-corrector method (Mehrotra, SIAM J. Optim. 2, 1992), with the box
-folded into the n x n normal matrix as diagonal terms and a Cholesky factor
-per iteration. The answer is reported as two bounds on the optimum that do
-not depend on the solver having converged:
+folded into the n x n normal matrix S^T W S as diagonal terms. The nonzeros
+of S are read once per call, so each iteration assembles that matrix with
+one weighted ``np.bincount`` over the products of nonzero pairs within each
+row (a stencil row has at most four nonzeros) instead of a dense m n^2
+product. A Cholesky factorization serves only as the test of positive
+definiteness that triggers the ridge retry; both Newton directions are then
+``np.linalg.solve`` calls on the (ridged) matrix, and no inverse is formed.
+The answer is reported as two bounds on the optimum that do not depend on
+the solver having converged:
 
 * ``lower = -||c + S^T lam||_1`` for the multipliers lam >= 0 of the S rows,
   a lower bound for every such lam by weak duality (the box turns the dual
@@ -65,13 +71,14 @@ def solve_lp(c, S) -> LpResult:
     # with slacks v >= 0 and multipliers y >= 0 stacked the same way; G is
     # applied blockwise so the identity rows are never built.
     h = np.concatenate([np.zeros(m), np.ones(2 * n)])
-    diagonal = np.diag_indices(n)
 
     def g(x):
         return np.concatenate([S @ x, x, -x])
 
     def g_t(y):
         return S.T @ y[:m] + y[m : m + n] - y[m + n :]
+
+    pairs = _row_pairs(S)
 
     x, v, y = np.zeros(n), np.ones(m + 2 * n), np.ones(m + 2 * n)
     status = ITERATION_LIMIT
@@ -84,10 +91,8 @@ def solve_lp(c, S) -> LpResult:
             status = OPTIMAL
             break
         w = y / v
-        normal = S.T @ (w[:m, None] * S)
-        normal[diagonal] += w[m : m + n] + w[m + n :]
-        factor_inv = _inverse_cholesky_factor(normal)
-        if factor_inv is None:
+        normal = _normal_matrix(pairs, w)
+        if not _factorable(normal):
             status = STALLED
             break
         iterations += 1
@@ -95,7 +100,7 @@ def solve_lp(c, S) -> LpResult:
         def direction(rc):
             """Newton step that drives the residuals and v * y + rc to zero."""
             rhs = -r_dual - g_t((y * r_primal - rc) / v)
-            dx = factor_inv.T @ (factor_inv @ rhs)
+            dx = np.linalg.solve(normal, rhs)
             dv = -r_primal - g(dx)
             return dx, dv, -(rc + y * dv) / v
 
@@ -115,17 +120,48 @@ def solve_lp(c, S) -> LpResult:
     return LpResult(status, x, lower, upper, iterations)
 
 
-def _inverse_cholesky_factor(normal: np.ndarray) -> np.ndarray | None:
-    """Inverse of the lower Cholesky factor of ``normal`` (ridged in place
-    if needed), or None if no ridge up to the last retry makes it factorable."""
+def _row_pairs(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzeros of S as ``_normal_matrix`` reads them: the flat n x n
+    position i * n + j of every pair of nonzeros (i, j) within each row r,
+    followed by the n diagonal positions, and the products S[r, i] * S[r, j]
+    shaped (m, k * k) for the densest row's k nonzeros. Sparser rows are
+    padded with column 0 and value 0."""
+    m, n = S.shape
+    rows, cols = np.nonzero(S)
+    counts = np.bincount(rows, minlength=m)
+    k = int(counts.max(initial=0))
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    col = np.zeros((m, k), dtype=np.intp)
+    val = np.zeros((m, k))
+    col[rows, slot] = cols
+    val[rows, slot] = S[rows, cols]
+    index = (col[:, :, None] * n + col[:, None, :]).ravel()
+    value = val[:, :, None] * val[:, None, :]
+    return np.concatenate([index, np.arange(n) * (n + 1)]), value.reshape(m, k * k)
+
+
+def _normal_matrix(pairs: tuple[np.ndarray, np.ndarray], w: np.ndarray) -> np.ndarray:
+    """S^T diag(w[:m]) S + diag(w[m:m+n] + w[m+n:]) for the m x n matrix S
+    whose ``_row_pairs`` are given, summed by one ``np.bincount``."""
+    index, value = pairs
+    m = value.shape[0]
+    n = (w.size - m) // 2
+    weights = np.concatenate([(value * w[:m, None]).ravel(), w[m : m + n] + w[m + n :]])
+    return np.bincount(index, weights=weights, minlength=n * n).reshape(n, n)
+
+
+def _factorable(normal: np.ndarray) -> bool:
+    """Whether ``normal`` has a Cholesky factor, after ridging it in place if
+    needed; False if no ridge up to the last retry makes it factorable."""
     ridge = _RIDGE * normal.diagonal().max()
     for _ in range(_RIDGE_RETRIES):
         try:
-            return np.linalg.inv(np.linalg.cholesky(normal))
+            np.linalg.cholesky(normal)
+            return True
         except np.linalg.LinAlgError:
             normal[np.diag_indices_from(normal)] += ridge
             ridge *= 100.0
-    return None
+    return False
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:

@@ -484,8 +484,8 @@ def estimate_epidemic_probability(
         raise ValueError("trials must be >= 1")
     if not 0 <= seed_cs < model.n_systems:
         raise IndexError("seed_cs out of range")
-    if epidemic_fraction < 0:
-        raise ValueError("epidemic_fraction must be nonnegative")
+    if not 0 <= epidemic_fraction <= 1:
+        raise ValueError(f"epidemic_fraction must be in [0, 1], got {epidemic_fraction}")
     total = int(sum(sizes))
     threshold = epidemic_fraction * total
     count = 0

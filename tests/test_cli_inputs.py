@@ -1,0 +1,68 @@
+"""Command-line handling of repeated calls and of inputs that cannot be
+read as a model or a run."""
+
+import json
+import math
+
+import pytest
+
+from cascade_lab.cli import build_parser, main
+from cascade_lab.modelio import ModelFormatError, fixture_path, load_fixture, load_model
+from cascade_lab.simulate import estimate_epidemic_probability
+
+PAIR = [str(fixture_path("example1_p2")), str(fixture_path("example2_p3"))]
+
+
+def test_repeated_calls_share_no_arguments(capsys):
+    assert build_parser() is build_parser()
+    assert main(["orders", *PAIR, "--relation", "concordance", "--cs", "0", "--json"]) == 0
+    assert [r["cs"] for r in json.loads(capsys.readouterr().out)["results"]] == [0]
+    assert main(["orders", *PAIR, "--relation", "concordance", "--json"]) == 0
+    assert [r["cs"] for r in json.loads(capsys.readouterr().out)["results"]] == [0, 1]
+    assert build_parser().parse_args(["orders", *PAIR, "--relation", "idcv"]).cs is None
+
+
+def test_solve_directory_exits_2(tmp_path, capsys):
+    assert main(["solve", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_validate_directory_exits_2(tmp_path, capsys):
+    assert main(["validate", str(fixture_path("example1_p1")), str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestNonObjectDocument:
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        return path
+
+    def test_load_raises_format_error(self, path):
+        with pytest.raises(ModelFormatError, match="must be a JSON object"):
+            load_model(path)
+
+    def test_solve_exits_1(self, path, capsys):
+        assert main(["solve", str(path)]) == 1
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_validate_lists_format_error(self, path, capsys):
+        assert main(["validate", str(path), "--json"]) == 1
+        entry = json.loads(capsys.readouterr().out)[str(path)]
+        assert entry == {"ok": False, "errors": ["model document must be a JSON object"]}
+
+
+@pytest.mark.parametrize("gamma", [1.5, 2.0, -0.1, math.nan])
+def test_unreachable_gamma_rejected(gamma):
+    with pytest.raises(ValueError, match="epidemic_fraction"):
+        estimate_epidemic_probability(
+            load_fixture("example1_p1"), (100, 100), epidemic_fraction=gamma, trials=1
+        )
+
+
+def test_unreachable_gamma_exits_2(capsys):
+    argv = ["simulate-graph", str(fixture_path("example1_p1")), "--sizes", "100,100",
+            "--trials", "1", "--gamma", "2"]
+    assert main(argv) == 2
+    assert "epidemic_fraction" in capsys.readouterr().err
