@@ -37,7 +37,6 @@ from .branching import (
     MeanMatrix,
     PoEVector,
     cascade_probability,
-    evaluate_generating_function,
     extinction_probabilities,
     is_positively_regular,
     mean_matrix,

@@ -128,15 +128,6 @@ def spectral_radius(m: MeanMatrix | np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(values))))
 
 
-def evaluate_generating_function(h: ChildrenPmf, s: np.ndarray) -> float:
-    """Probability generating function of the children vector at ``s``,
-    with the convention 0**0 == 1."""
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != (h.n_types,) or np.any(s < -1e-12) or np.any(s > 1.0 + 1e-12):
-        raise ValueError(f"argument must be a point of [0, 1]^{h.n_types}")
-    return float(h.gf(np.clip(s, 0.0, 1.0)))
-
-
 def _gf_map(children: Sequence[ChildrenPmf]):
     """The generating map s -> (f_t(s))_t of a sequence of laws and its
     Jacobian, as ``pgf`` calls on their supports stacked into a (types, rows,

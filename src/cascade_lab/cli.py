@@ -21,7 +21,7 @@ import numpy as np
 
 from . import branching, orders
 from .children import check_vulnerability_scaling, offspring_laws
-from .model import SystemModel, validate_model
+from .model import SystemModel
 from .modelio import ModelFormatError, ModelValidationError, load_model
 from .pmf import is_independent, marginal, mean_vector
 from .simulate import estimate_epidemic_probability, simulate_branching
@@ -57,42 +57,33 @@ def _pmf_table(model: SystemModel, cs: int) -> list[str]:
 
 
 def cmd_validate(args) -> int:
-    status = 0
     payload = {}
     for path in args.model:
         try:
-            model = load_model(path, validate=False)
+            model = load_model(path)
+        except ModelValidationError as exc:
+            violations = exc.report.violations
+            entry = {
+                "ok": False,
+                "violations": [
+                    {"code": v.code, "where": v.where, "detail": v.detail} for v in violations
+                ],
+            }
+            lines = [f"  {v}" for v in violations]
         except (ModelFormatError, json.JSONDecodeError) as exc:
-            payload[path] = {"ok": False, "errors": getattr(exc, "issues", [str(exc)])}
-            status = 1
-            continue
-        report = validate_model(model)
-        payload[path] = {
-            "ok": report.ok,
-            "violations": [
-                {"code": v.code, "where": v.where, "detail": v.detail}
-                for v in report.violations
-            ],
-        }
-        if not report.ok:
-            status = 1
-        elif not args.json:
-            for cs in range(model.n_systems):
-                payload.setdefault("_tables", []).extend(_pmf_table(model, cs))
-    if args.json:
-        payload.pop("_tables", None)
-        _print_json(payload)
-    else:
-        tables = payload.pop("_tables", [])
-        for path, entry in payload.items():
+            entry = {"ok": False, "errors": getattr(exc, "issues", [str(exc)])}
+            lines = [f"  [format] {e}" for e in entry["errors"]]
+        else:
+            entry = {"ok": True, "violations": []}
+            lines = [line for cs in range(model.n_systems) for line in _pmf_table(model, cs)]
+        payload[path] = entry
+        if not args.json:
             print(f"{path}: {'valid' if entry['ok'] else 'INVALID'}")
-            for v in entry.get("violations", []):
-                print(f"  [{v['code']}] {v['where']}: {v['detail']}")
-            for e in entry.get("errors", []):
-                print(f"  [format] {e}")
-        for line in tables:
-            print(line)
-    return status
+            for line in lines:
+                print(line)
+    if args.json:
+        _print_json(payload)
+    return 0 if all(entry["ok"] for entry in payload.values()) else 1
 
 
 def build_solve_report(model: SystemModel) -> dict:

@@ -59,26 +59,13 @@ class VulnerabilityProfile:
             )
 
     def __call__(self, d: int) -> float:
-        if d < 0:
-            raise ValueError("degree must be nonnegative")
-        if self.kind == TABLE:
-            try:
-                value = self.table[int(d)]
-            except KeyError:
-                raise ProfileCoverageError(
-                    f"vulnerability table does not cover internal degree {d}"
-                ) from None
-        else:
-            if d == 0:
-                # Degree-0 agents have no internal infection path; the value is
-                # never used by the pipeline but must stay in [0, 1].
-                value = self.scale if self.exponent == 0.0 else 1.0
-            else:
-                value = self.scale * float(d) ** (-self.exponent)
-        return min(1.0, max(0.0, value))
+        return min(1.0, max(0.0, self.raw(d)))
 
     def raw(self, d: int) -> float:
-        """Table value without clamping (used by validation)."""
+        """Table value without clamping (used by validation); power laws
+        are clamped here already."""
+        if d < 0:
+            raise ValueError("degree must be nonnegative")
         if self.kind == TABLE:
             try:
                 return self.table[int(d)]
@@ -86,7 +73,13 @@ class VulnerabilityProfile:
                 raise ProfileCoverageError(
                     f"vulnerability table does not cover internal degree {d}"
                 ) from None
-        return self(d)
+        if d == 0:
+            # Degree-0 agents have no internal infection path; the value is
+            # never used by the pipeline but must stay in [0, 1].
+            value = self.scale if self.exponent == 0.0 else 1.0
+        else:
+            value = self.scale * float(d) ** (-self.exponent)
+        return min(1.0, max(0.0, value))
 
 
 def constant_profile(value: float = 1.0) -> VulnerabilityProfile:

@@ -4,15 +4,14 @@ A model file holds ``n_systems``, a ``mode`` flag (``degree`` keeps the
 internal-degree floor, ``children`` lifts it; both thin the degrees into
 offspring laws), one sparse pmf per CS as ``[[degree-vector], mass]``
 entries, the inter-CS infection matrix (diagonal ``null``), and one
-vulnerability profile per CS. Masses are parsed as exact decimals so the
-unit-mass check sees the digits that were written, not their float
-rounding.
+vulnerability profile per CS. Numbers are read as doubles, and
+``load_model`` always validates: each pmf's masses must sum to 1 within
+``pmf.MASS_TOL`` (1e-12) in double precision.
 """
 
 from __future__ import annotations
 
 import json
-from decimal import Decimal
 from importlib import resources
 from pathlib import Path
 
@@ -23,14 +22,10 @@ from .model import (
     MODE_DEGREE,
     SystemModel,
     ValidationReport,
-    Violation,
     VulnerabilityProfile,
     validate_model,
 )
-from .pmf import MASS_TOL, JointPmf
-
-# The float check's tolerance, applied to the masses as written.
-MASS_SUM_TOL = Decimal(repr(MASS_TOL))
+from .pmf import JointPmf
 
 
 class ModelFormatError(ValueError):
@@ -77,8 +72,8 @@ def _parse_profile(raw, where: str, issues: list[str]) -> VulnerabilityProfile |
 
 
 def parse_model(document: dict) -> SystemModel:
-    """Build a SystemModel from a parsed model document (masses may be
-    Decimal); raises ModelFormatError listing every structural issue."""
+    """Build a SystemModel from a parsed model document; raises
+    ModelFormatError listing every structural issue."""
     if not isinstance(document, dict):
         raise ModelFormatError(["model document must be a JSON object"])
     issues: list[str] = []
@@ -115,7 +110,7 @@ def parse_model(document: dict) -> SystemModel:
                         f"{where}.entries[{k}]: degree vector must be {n} nonnegative integers"
                     )
                     continue
-                if not isinstance(m, (Decimal, int, float)):
+                if not isinstance(m, (int, float)):
                     issues.append(f"{where}.entries[{k}]: mass must be a number")
                     continue
                 support.append(vec)
@@ -141,7 +136,7 @@ def parse_model(document: dict) -> SystemModel:
                     continue
                 if value is None:
                     issues.append(f"infection[{i}][{j}] is missing")
-                elif isinstance(value, (int, float, Decimal)):
+                elif isinstance(value, (int, float)):
                     infection[i, j] = float(value)
                 else:
                     issues.append(f"infection[{i}][{j}] must be a number")
@@ -167,51 +162,17 @@ def parse_model(document: dict) -> SystemModel:
     )
 
 
-def _exact_mass_violations(document: dict) -> list[Violation]:
-    """Unit-mass check on the masses exactly as written, in decimal."""
-    found = []
-    for i, raw in enumerate(document.get("degree_dists") or []):
-        entries = raw.get("entries") if isinstance(raw, dict) else None
-        if not isinstance(entries, list):
-            continue
-        total = Decimal(0)
-        for item in entries:
-            if isinstance(item, list) and len(item) == 2 and isinstance(item[1], (Decimal, int)):
-                total += item[1]
-            elif isinstance(item, list) and len(item) == 2 and isinstance(item[1], float):
-                total += Decimal(str(item[1]))
-        if abs(total - 1) > MASS_SUM_TOL:
-            found.append(
-                Violation(
-                    "mass-sum",
-                    f"degree_dists[{i}]",
-                    f"masses sum to {total} exactly as written",
-                )
-            )
-    return found
-
-
-def load_model(path: str | Path, validate: bool = True) -> SystemModel:
-    """Load and (by default) validate a model file.
+def load_model(path: str | Path) -> SystemModel:
+    """Load and validate a model file.
 
     Raises ModelFormatError for parse/shape problems (with every issue and
     its field path), ModelValidationError when the parsed model violates the
     invariants, and json.JSONDecodeError (with line/column) for broken JSON.
     """
-    text = Path(path).read_text()
-    document = json.loads(text, parse_float=Decimal)
-    model = parse_model(document)
-    if validate:
-        report = validate_model(model)
-        exact = [
-            v
-            for v in _exact_mass_violations(document)
-            if not any(u.code == v.code and u.where == v.where for u in report.violations)
-        ]
-        if exact:
-            report = ValidationReport(report.violations + tuple(exact))
-        if not report.ok:
-            raise ModelValidationError(report)
+    model = parse_model(json.loads(Path(path).read_text()))
+    report = validate_model(model)
+    if not report.ok:
+        raise ModelValidationError(report)
     return model
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-# Total-mass validation tolerance; decimal model inputs are exact at this scale.
+# Total-mass validation tolerance, applied to the double-precision mass sum.
 MASS_TOL = 1e-12
 # Tolerance for pmf equality / cell-wise comparisons.
 EQ_TOL = 1e-9

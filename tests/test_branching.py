@@ -7,7 +7,6 @@ from cascade_lab import (
     JointPmf,
     SystemModel,
     cascade_probability,
-    evaluate_generating_function,
     extinction_probabilities,
     is_positively_regular,
     mean_matrix,
@@ -139,18 +138,16 @@ class TestSpectralRadius:
 class TestGeneratingFunction:
     def test_at_ones_is_one(self, model_p1):
         for h in build_children(model_p1):
-            assert evaluate_generating_function(h, np.ones(4)) == pytest.approx(1.0)
+            assert h.gf(np.ones(4)) == pytest.approx(1.0)
 
     def test_at_zero_is_mass_at_zero(self, model_p1):
         h = build_children(model_p1)[0]
-        assert evaluate_generating_function(h, np.zeros(4)) == pytest.approx(
-            h.prob([0, 0, 0, 0])
-        )
+        assert h.gf(np.zeros(4)) == pytest.approx(h.prob([0, 0, 0, 0]))
 
     def test_fixed_point_property_example1(self, model_p1):
         h = build_children(model_p1)[0]
         s = np.array([0.9646, 0.9646, 0.9761, 0.9761])
-        assert evaluate_generating_function(h, s) == pytest.approx(0.9646, abs=5e-4)
+        assert h.gf(s) == pytest.approx(0.9646, abs=5e-4)
 
 
 class TestExtinctionProbabilities:

@@ -53,6 +53,26 @@ class TestNonObjectDocument:
         assert entry == {"ok": False, "errors": ["model document must be a JSON object"]}
 
 
+def test_validate_prints_tables_under_their_file(capsys):
+    paths = [str(fixture_path("example1_p1")), str(fixture_path("demo_ns3"))]
+    assert main(["validate", *paths]) == 0
+    out = capsys.readouterr().out.splitlines()
+    status = [out.index(f"{path}: valid") for path in paths]
+    tables = [k for k, line in enumerate(out) if line.startswith("CS 0 degree pmf")]
+    assert status[0] == 0 and len(tables) == 2
+    assert status[0] < tables[0] < status[1] < tables[1]
+
+
+def test_mass_sum_at_tolerance_edge_same_exit_code(tmp_path):
+    """Masses written to sum to 1 - 1.000000000001e-12, whose double sum is
+    within the 1e-12 tolerance: validate and solve both accept the file."""
+    text = fixture_path("example1_p1").read_text()
+    path = tmp_path / "edge.json"
+    path.write_text(text.replace("0.0375", "0.03749999999899999998", 1))
+    assert main(["validate", str(path)]) == 0
+    assert main(["solve", str(path)]) == 0
+
+
 @pytest.mark.parametrize("gamma", [1.5, 2.0, -0.1, math.nan])
 def test_unreachable_gamma_rejected(gamma):
     with pytest.raises(ValueError, match="epidemic_fraction"):

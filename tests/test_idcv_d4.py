@@ -2,7 +2,6 @@
 concordance transfer of it, on which a dense-tableau simplex used to stall
 for minutes before giving up."""
 
-import time
 from itertools import product
 
 import numpy as np
@@ -55,11 +54,11 @@ def pair():
 def test_fails_fast_with_checked_witness(pair):
     uniform, transfer = pair
     x, y = JointPmf.from_dict(uniform), JointPmf.from_dict(transfer)
-    start = time.perf_counter()
     verdict = certify_idcv(x, y)
-    elapsed = time.perf_counter() - start
     assert verdict.outcome == FAILS
-    assert elapsed < 1.0
+    # A stall would run to MAX_ITERATIONS or read "stalled"; D4 takes 12.
+    assert verdict.iterations <= 20
+    assert "(optimal)" in verdict.detail
 
     xi = {tuple(point): value for point, value in verdict.witness["xi"]}
     values = np.array([xi[v] for v in product(range(5), repeat=3)])

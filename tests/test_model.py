@@ -23,14 +23,19 @@ class TestVulnerabilityProfile:
 
     def test_clamping(self):
         phi = VulnerabilityProfile(kind="power-law", scale=2.0, exponent=0.5)
-        assert phi(1) == 1.0  # raw value 2.0 clamps
+        assert phi(1) == 1.0  # 2.0 clamps
+        assert phi.raw(1) == 1.0  # validation never flags a power law
         assert phi(16) == pytest.approx(0.5)
 
     def test_table_lookup_and_coverage(self):
-        phi = VulnerabilityProfile(kind="table", table={1: 0.9, 2: 0.4})
+        phi = VulnerabilityProfile(kind="table", table={1: 1.7, 2: 0.4})
         assert phi(2) == pytest.approx(0.4)
-        with pytest.raises(ProfileCoverageError):
-            phi(3)
+        assert (phi(1), phi.raw(1)) == (1.0, 1.7)
+        for evaluate in (phi, phi.raw):
+            with pytest.raises(ProfileCoverageError):
+                evaluate(3)
+            with pytest.raises(ValueError, match="nonnegative"):
+                evaluate(-1)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
