@@ -13,7 +13,6 @@ at the first.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -201,27 +200,16 @@ def validate_model(model: SystemModel) -> ValidationReport:
                         f"internal degree 0 has mass {zero_mass!r} but the floor is on",
                     )
                 )
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            q = float(model.infection[i, j])
-            if not (0.0 < q <= 1.0) or math.isnan(q):
-                found.append(
-                    Violation(
-                        "infection-range",
-                        f"infection[{i}][{j}]",
-                        f"value {q!r} outside (0, 1]",
-                    )
-                )
+    infection = model.infection
+    for i, j in np.argwhere(~((infection > 0.0) & (infection <= 1.0))):
+        if i != j:
+            detail = f"value {float(infection[i, j])!r} outside (0, 1]"
+            found.append(Violation("infection-range", f"infection[{i}][{j}]", detail))
     for i, profile in enumerate(model.vulnerability):
         if model.degree_dists[i].dimension != n:
             continue
         degrees = np.unique(model.degree_dists[i].support[:, i])
-        for d in degrees:
-            d = int(d)
-            if d == 0:
-                continue
+        for d in degrees[degrees > 0].tolist():
             try:
                 value = profile.raw(d)
             except ProfileCoverageError as exc:

@@ -4,15 +4,20 @@ A model file holds ``n_systems``, a ``mode`` flag (``degree`` keeps the
 internal-degree floor, ``children`` lifts it; both thin the degrees into
 offspring laws), one sparse pmf per CS as ``[[degree-vector], mass]``
 entries, the inter-CS infection matrix (diagonal ``null``), and one
-vulnerability profile per CS. Numbers are read as doubles, and
-``load_model`` always validates: each pmf's masses must sum to 1 within
-``pmf.MASS_TOL`` (1e-12) in double precision.
+vulnerability profile per CS. Degrees are integers in [0, 2**63). Every
+other number is a JSON number that is finite as a double: NaN, +-inf, bools,
+strings and integers beyond double range are format errors. ``load_model``
+always validates: each pmf's masses must sum to 1 within ``pmf.MASS_TOL``
+(1e-12) in double precision.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +25,17 @@ import numpy as np
 from .model import (
     MODE_CHILDREN,
     MODE_DEGREE,
+    POWER_LAW,
+    TABLE,
     SystemModel,
     ValidationReport,
     VulnerabilityProfile,
     validate_model,
 )
 from .pmf import JointPmf
+
+# A vulnerability table key: one degree in canonical decimal, below 2**63.
+_DEGREE_KEY = re.compile(r"0|[1-9][0-9]{0,17}")
 
 
 class ModelFormatError(ValueError):
@@ -44,31 +54,77 @@ class ModelValidationError(ValueError):
         self.report = report
 
 
+def _number(value, where: str, issues: list[str]) -> float | None:
+    """The double that a JSON number denotes, or None after recording an
+    issue. Bools, strings and other JSON values are not numbers; NaN, +-inf
+    and integers beyond double range are not finite."""
+    if type(value) in (int, float):
+        try:
+            if math.isfinite(number := float(value)):
+                return number
+        except OverflowError:
+            pass
+    text = json.dumps(value)
+    text = text if len(text) <= 40 else text[:37] + "..."
+    issues.append(f"{where} must be a finite number, got {text}")
+    return None
+
+
+def _parse_pmf(raw, n: int, where: str, issues: list[str]) -> JointPmf | None:
+    entries = raw.get("entries") if isinstance(raw, dict) else None
+    if not isinstance(entries, list) or not entries:
+        issues.append(f"{where}: expected an object with a nonempty 'entries' list")
+        return None
+    count, vectors, masses = len(issues), [], []
+    for k, item in enumerate(entries):
+        if isinstance(item, list) and len(item) == 2 and _is_list(item[0], n):
+            vectors.append(item[0])
+            masses.append(_number(item[1], f"{where}.entries[{k}] mass", issues))
+        else:
+            issues.append(f"{where}.entries[{k}]: expected [[{n} degrees], mass]")
+    if len(vectors) < len(entries):
+        return None
+    # One type check (exactly int: no bools, floats or strings), then one
+    # array, which is int64 unless a degree lies outside that range.
+    ints = set(map(type, chain.from_iterable(vectors))) == {int}
+    support = np.array(vectors) if ints else None
+    if support is None or support.dtype != np.int64:
+        issues.append(f"{where}: degrees must be integers in [0, 2**63)")
+    if len(issues) > count:
+        return None
+    try:
+        return JointPmf(support, np.array(masses))
+    except ValueError as exc:
+        issues.append(f"{where}: {exc}")
+        return None
+
+
 def _parse_profile(raw, where: str, issues: list[str]) -> VulnerabilityProfile | None:
     if not isinstance(raw, dict) or "kind" not in raw:
         issues.append(f"{where}: expected an object with a 'kind' field")
         return None
-    kind = raw["kind"]
-    try:
-        if kind == "power-law":
-            return VulnerabilityProfile(
-                kind="power-law",
-                scale=float(raw.get("scale", 1.0)),
-                exponent=float(raw.get("exponent", 0.0)),
-            )
-        if kind == "table":
-            table = raw.get("table")
-            if not isinstance(table, dict) or not table:
-                issues.append(f"{where}: table profile needs a nonempty 'table' object")
-                return None
-            return VulnerabilityProfile(
-                kind="table", table={int(k): float(v) for k, v in table.items()}
-            )
-    except (TypeError, ValueError) as exc:
-        issues.append(f"{where}: {exc}")
-        return None
+    kind, count = raw["kind"], len(issues)
+    if kind == POWER_LAW:
+        scale = _number(raw.get("scale", 1.0), f"{where}.scale", issues)
+        exponent = _number(raw.get("exponent", 0.0), f"{where}.exponent", issues)
+        return VulnerabilityProfile(POWER_LAW, scale, exponent) if len(issues) == count else None
+    if kind == TABLE:
+        table = raw.get("table")
+        if not isinstance(table, dict) or not table:
+            issues.append(f"{where}: table profile needs a nonempty 'table' object")
+            return None
+        values = {k: _number(v, f"{where}.table[{k!r}]", issues) for k, v in table.items()}
+        if bad := [key[:40] for key in table if not _DEGREE_KEY.fullmatch(key)]:
+            issues.append(f"{where}.table: keys {bad} are not decimal degrees")
+        if len(issues) > count:
+            return None
+        return VulnerabilityProfile(kind=TABLE, table=values)
     issues.append(f"{where}: unknown vulnerability kind {kind!r}")
     return None
+
+
+def _is_list(value, n: int) -> bool:
+    return isinstance(value, list) and len(value) == n
 
 
 def parse_model(document: dict) -> SystemModel:
@@ -76,89 +132,43 @@ def parse_model(document: dict) -> SystemModel:
     ModelFormatError listing every structural issue."""
     if not isinstance(document, dict):
         raise ModelFormatError(["model document must be a JSON object"])
-    issues: list[str] = []
     n = document.get("n_systems")
-    if not isinstance(n, int) or n < 2:
+    if type(n) is not int or n < 2:
         raise ModelFormatError(["n_systems must be an integer >= 2"])
+    issues: list[str] = []
+
+    def section(key: str, items: str) -> list:
+        if _is_list(value := document.get(key), n):
+            return value
+        issues.append(f"{key} must be a list of {n} {items}")
+        return []
+
     mode = document.get("mode", MODE_DEGREE)
     if mode not in (MODE_DEGREE, MODE_CHILDREN):
         issues.append(f"mode must be 'degree' or 'children', got {mode!r}")
-
-    raw_dists = document.get("degree_dists")
-    dists: list[JointPmf] = []
-    if not isinstance(raw_dists, list) or len(raw_dists) != n:
-        issues.append(f"degree_dists must be a list of {n} pmfs")
-    else:
-        for i, raw in enumerate(raw_dists):
-            where = f"degree_dists[{i}]"
-            entries = raw.get("entries") if isinstance(raw, dict) else None
-            if not isinstance(entries, list) or not entries:
-                issues.append(f"{where}: expected an object with a nonempty 'entries' list")
-                continue
-            support, mass = [], []
-            for k, item in enumerate(entries):
-                if (
-                    not isinstance(item, list)
-                    or len(item) != 2
-                    or not isinstance(item[0], list)
-                ):
-                    issues.append(f"{where}.entries[{k}]: expected [[degrees...], mass]")
-                    continue
-                vec, m = item
-                if len(vec) != n or not all(isinstance(d, int) and d >= 0 for d in vec):
-                    issues.append(
-                        f"{where}.entries[{k}]: degree vector must be {n} nonnegative integers"
-                    )
-                    continue
-                if not isinstance(m, (int, float)):
-                    issues.append(f"{where}.entries[{k}]: mass must be a number")
-                    continue
-                support.append(vec)
-                mass.append(float(m))
-            if not support:
-                continue
-            try:
-                dists.append(JointPmf(np.array(support), np.array(mass)))
-            except ValueError as exc:
-                issues.append(f"{where}: {exc}")
-
-    raw_infection = document.get("infection")
-    infection = np.full((n, n), np.nan)
-    if not isinstance(raw_infection, list) or len(raw_infection) != n:
+    if not isinstance(name := document.get("name", ""), str):
+        issues.append("name must be a string")
+    raw_dists = section("degree_dists", "pmfs")
+    dists = [_parse_pmf(raw, n, f"degree_dists[{i}]", issues) for i, raw in enumerate(raw_dists)]
+    rows = document.get("infection")
+    if not (_is_list(rows, n) and all(_is_list(row, n) for row in rows)):
         issues.append(f"infection must be a {n}x{n} matrix (diagonal null)")
-    else:
-        for i, row in enumerate(raw_infection):
-            if not isinstance(row, list) or len(row) != n:
-                issues.append(f"infection[{i}] must have {n} entries")
-                continue
-            for j, value in enumerate(row):
-                if i == j:
-                    continue
-                if value is None:
-                    issues.append(f"infection[{i}][{j}] is missing")
-                elif isinstance(value, (int, float)):
-                    infection[i, j] = float(value)
-                else:
-                    issues.append(f"infection[{i}][{j}] must be a number")
-
-    raw_profiles = document.get("vulnerability")
-    profiles: list[VulnerabilityProfile] = []
-    if not isinstance(raw_profiles, list) or len(raw_profiles) != n:
-        issues.append(f"vulnerability must be a list of {n} profiles")
-    else:
-        for i, raw in enumerate(raw_profiles):
-            profile = _parse_profile(raw, f"vulnerability[{i}]", issues)
-            if profile is not None:
-                profiles.append(profile)
-
-    if issues or len(dists) != n or len(profiles) != n:
-        raise ModelFormatError(issues or ["incomplete model document"])
+        rows = []
+    infection = [
+        [math.nan if i == j else _number(value, f"infection[{i}][{j}]", issues)
+         for j, value in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+    raw_vuln = section("vulnerability", "profiles")
+    profiles = [_parse_profile(p, f"vulnerability[{i}]", issues) for i, p in enumerate(raw_vuln)]
+    if issues:
+        raise ModelFormatError(issues)
     return SystemModel(
         degree_dists=tuple(dists),
         infection=infection,
         vulnerability=tuple(profiles),
         internal_degree_floor=(mode == MODE_DEGREE),
-        name=str(document.get("name", "")),
+        name=name,
     )
 
 
@@ -168,8 +178,15 @@ def load_model(path: str | Path) -> SystemModel:
     Raises ModelFormatError for parse/shape problems (with every issue and
     its field path), ModelValidationError when the parsed model violates the
     invariants, and json.JSONDecodeError (with line/column) for broken JSON.
+    OSError from reading the file passes through.
     """
-    model = parse_model(json.loads(Path(path).read_text()))
+    try:
+        document = json.loads(Path(path).read_text())
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # text that is not UTF-8, or an over-long integer literal
+        raise ModelFormatError([f"unreadable model file: {str(exc).split(';')[0]}"]) from None
+    model = parse_model(document)
     report = validate_model(model)
     if not report.ok:
         raise ModelValidationError(report)
@@ -178,26 +195,19 @@ def load_model(path: str | Path) -> SystemModel:
 
 def serialize_model(model: SystemModel) -> dict:
     """JSON-able document; load(serialize(m)) is semantically identical to m."""
-    dists = []
-    for pmf in model.degree_dists:
-        entries = [
-            [[int(x) for x in vec], float(m)] for vec, m in zip(pmf.support, pmf.mass)
-        ]
-        dists.append({"entries": entries})
-    infection = [
-        [None if i == j else float(model.infection[i, j]) for j in range(model.n_systems)]
-        for i in range(model.n_systems)
+    dists = [
+        {"entries": [[v, m] for v, m in zip(pmf.support.tolist(), pmf.mass.tolist())]}
+        for pmf in model.degree_dists
     ]
-    profiles = []
-    for profile in model.vulnerability:
-        if profile.kind == "power-law":
-            profiles.append(
-                {"kind": "power-law", "scale": profile.scale, "exponent": profile.exponent}
-            )
-        else:
-            profiles.append(
-                {"kind": "table", "table": {str(k): v for k, v in sorted(profile.table.items())}}
-            )
+    infection = model.infection.tolist()
+    for i, row in enumerate(infection):
+        row[i] = None
+    profiles = [
+        {"kind": POWER_LAW, "scale": p.scale, "exponent": p.exponent}
+        if p.kind == POWER_LAW
+        else {"kind": TABLE, "table": {str(k): v for k, v in sorted(p.table.items())}}
+        for p in model.vulnerability
+    ]
     return {
         "name": model.name,
         "n_systems": model.n_systems,

@@ -32,8 +32,8 @@ import numpy as np
 
 OPTIMAL = "optimal"
 ITERATION_LIMIT = "iteration-limit"
-# No ridge made the normal matrix factorable; the bounds of the last iterate
-# are still valid.
+# No ridge made the normal matrix factorable, or a direction solve met a
+# singular matrix; the bounds of the last iterate are still valid.
 STALLED = "stalled"
 
 # A witness may violate a cone row by at most this much.
@@ -95,7 +95,6 @@ def solve_lp(c, S) -> LpResult:
         if not _factorable(normal):
             status = STALLED
             break
-        iterations += 1
 
         def direction(rc):
             """Newton step that drives the residuals and v * y + rc to zero."""
@@ -104,10 +103,17 @@ def solve_lp(c, S) -> LpResult:
             dv = -r_primal - g(dx)
             return dx, dv, -(rc + y * dv) / v
 
-        dx, dv, dy = direction(v * y)
-        a_p, a_d = min(1.0, _max_step(v, dv)), min(1.0, _max_step(y, dy))
-        mu_aff = ((v + a_p * dv) @ (y + a_d * dy)) / v.size
-        dx, dv, dy = direction(v * y + dv * dy - (mu_aff / mu) ** 3 * mu)
+        # The LU solve can meet an exact zero pivot on a matrix whose
+        # Cholesky test passed; the bounds of the last iterate still hold.
+        try:
+            dx, dv, dy = direction(v * y)
+            a_p, a_d = min(1.0, _max_step(v, dv)), min(1.0, _max_step(y, dy))
+            mu_aff = ((v + a_p * dv) @ (y + a_d * dy)) / v.size
+            dx, dv, dy = direction(v * y + dv * dy - (mu_aff / mu) ** 3 * mu)
+        except np.linalg.LinAlgError:
+            status = STALLED
+            break
+        iterations += 1
         a_p = min(1.0, _STEP_FRACTION * _max_step(v, dv))
         a_d = min(1.0, _STEP_FRACTION * _max_step(y, dy))
         x, v, y = x + a_p * dx, v + a_p * dv, y + a_d * dy

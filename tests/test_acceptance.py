@@ -27,6 +27,7 @@ from cascade_lab.children import (
     check_vulnerability_scaling,
     children_distribution_fresh,
     children_distribution_infected,
+    offspring_laws,
 )
 from cascade_lab.branching import solve_extinction
 from cascade_lab.orders import compare_concordance, compare_icv, compare_lt, certify_idcv, certify_supermodular
@@ -262,16 +263,25 @@ def test_criterion_5_oracle_equivalence():
 def test_criterion_6_monte_carlo_consistency(model_p1, analog_model):
     start = time.perf_counter()
     analytic_mu = extinction_probabilities(model_p1).values[0]
+    # A trial stopped at the generation cap counts as surviving, so the
+    # estimate's expectation is P(extinct by generation cap) = f^cap(0),
+    # iterated on the closed-form generating map; it sits below q*.
+    cap = 200
+    laws = offspring_laws(model_p1)
+    extinct_by_cap = np.zeros(len(laws))
+    for _ in range(cap):
+        extinct_by_cap = np.array([law.gf(extinct_by_cap) for law in laws])
+    assert analytic_mu == pytest.approx(0.9646, abs=5e-5)
+    assert 0.0 < analytic_mu - extinct_by_cap[0] < 1e-3
     estimate, _ = simulate_branching(
         model_p1,
         seed_type=0,
-        generation_cap=200,
+        generation_cap=cap,
         population_cap=100_000,
         trials=100_000,
         rng_seed=7,
     )
-    assert estimate.ci_low <= 0.9646 <= estimate.ci_high
-    assert estimate.ci_low <= analytic_mu <= estimate.ci_high
+    assert estimate.ci_low <= extinct_by_cap[0] <= estimate.ci_high
 
     target = 1.0 - extinction_probabilities(analog_model).values[0]
     frequency, _ = estimate_epidemic_probability(
@@ -289,7 +299,7 @@ def test_criterion_6_monte_carlo_consistency(model_p1, analog_model):
     _report(
         "6 (Monte Carlo consistency)",
         f"branching CI ({estimate.ci_low:.5f}, {estimate.ci_high:.5f}) covers "
-        f"{analytic_mu:.5f}; graph frequency {frequency.estimate:.4f} vs analytic "
+        f"f^{cap}(0) = {extinct_by_cap[0]:.5f} (q* = {analytic_mu:.5f}); graph frequency {frequency.estimate:.4f} vs analytic "
         f"{target:.4f} (|gap| = {gap:.4f}, tree approximation); {elapsed:.0f} s",
     )
 
