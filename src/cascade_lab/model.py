@@ -13,6 +13,7 @@ at the first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -76,8 +77,15 @@ class VulnerabilityProfile:
             # Degree-0 agents have no internal infection path; the value is
             # never used by the pipeline but must stay in [0, 1].
             value = self.scale if self.exponent == 0.0 else 1.0
+        elif self.scale == 0.0:
+            value = 0.0
         else:
-            value = self.scale * float(d) ** (-self.exponent)
+            try:
+                power = float(d) ** (-self.exponent)
+            except OverflowError:
+                # A large negative exponent: the clamp below saturates phi.
+                power = math.inf
+            value = self.scale * power
         return min(1.0, max(0.0, value))
 
 

@@ -94,19 +94,39 @@ def compare_fsd(x: MarginalPmf, y: MarginalPmf) -> OrderVerdict:
 
 def compare_icv(x: MarginalPmf, y: MarginalPmf) -> OrderVerdict:
     """Increasing-concave (= second-order stochastic dominance) order:
-    x <= y iff the running sums of F_x dominate those of F_y at every level."""
-    top = int(max(x.support.max(), y.support.max()))
+    x <= y iff the running sums of F_x dominate those of F_y at every level.
+    Both cdfs are constant from one merged support point to the next, so the
+    sums grow linearly there and each such stretch is checked at once; a
+    violation inside one is located by bisection."""
+    points = np.union1d(x.support, y.support).tolist()
     sum_x = sum_y = 0.0
-    for t in range(top + 1):
-        sum_x += x.cdf_at(t)
-        sum_y += y.cdf_at(t)
-        if sum_x < sum_y - ORDER_ATOL:
+    for start, stop in zip(points, points[1:] + [points[-1] + 1]):
+        fx, fy = x.cdf_at(start), y.cdf_at(start)
+
+        def short(m: int) -> bool:
+            """Whether the sums after m more levels violate the order."""
+            return sum_x + m * fx < sum_y + m * fy - ORDER_ATOL
+
+        width = stop - start
+        if short(1) or short(width):
+            # The gap is linear in m: the first violation is at m = 1 or, if
+            # the gap shrinks, found by bisection. m = 0 was checked already.
+            lo, hi = 0, 1 if short(1) else width
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if short(mid) else (mid, hi)
             return OrderVerdict(
                 "icv",
                 FAILS,
                 EXACT,
-                witness={"k": t, "cum_F_x": sum_x, "cum_F_y": sum_y},
+                witness={
+                    "k": start + hi - 1,
+                    "cum_F_x": sum_x + hi * fx,
+                    "cum_F_y": sum_y + hi * fy,
+                },
             )
+        sum_x += width * fx
+        sum_y += width * fy
     return OrderVerdict("icv", HOLDS, EXACT)
 
 
@@ -193,16 +213,15 @@ def compare_concordance(x: JointPmf, y: JointPmf) -> OrderVerdict:
     return OrderVerdict("concordance", HOLDS, EXACT)
 
 
-def _bounding_box(x: JointPmf, y: JointPmf) -> list[np.ndarray]:
-    """Integer grid 0..max per axis. Anchoring at 0 keeps the certificates
-    two-sided: any cone function on nonnegative integer vectors restricts to
-    the box, and any box function satisfying the cell inequalities extends
-    back by clamping coordinates into the box."""
-    axes = []
-    for j in range(x.dimension):
-        hi = int(max(x.support[:, j].max(), y.support[:, j].max()))
-        axes.append(np.arange(0, hi + 1))
-    return axes
+def _bounding_box(x: JointPmf, y: JointPmf) -> tuple[int, ...]:
+    """Shape of the integer grid 0..max per axis. Anchoring at 0 keeps the
+    certificates two-sided: any cone function on nonnegative integer vectors
+    restricts to the box, and any box function satisfying the cell
+    inequalities extends back by clamping coordinates into the box."""
+    return tuple(
+        int(max(x.support[:, j].max(), y.support[:, j].max())) + 1
+        for j in range(x.dimension)
+    )
 
 
 def _stencil_rows(shape: tuple[int, ...], stencil: list) -> np.ndarray:
@@ -264,9 +283,9 @@ def _certify_on_grid(relation: str, x: JointPmf, y: JointPmf, grid_limit: int) -
     instead."""
     if x.dimension != y.dimension:
         raise ValueError("dimension mismatch")
-    axes = _bounding_box(x, y)
-    shape = tuple(len(a) for a in axes)
-    size = int(np.prod(shape))
+    shape = _bounding_box(x, y)
+    # Python integers: a box with a huge degree is reported, not allocated.
+    size = math.prod(shape)
     if size > grid_limit:
         return OrderVerdict(
             relation,
@@ -277,6 +296,7 @@ def _certify_on_grid(relation: str, x: JointPmf, y: JointPmf, grid_limit: int) -
                 + _necessary_condition_report(x, y)
             ),
         )
+    axes = [np.arange(s) for s in shape]
     c = (_scatter(y, axes) - _scatter(x, axes)).ravel()
     S = _cone_matrix(relation, shape)
     result = solve_lp(c, S)

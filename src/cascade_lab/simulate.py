@@ -54,7 +54,10 @@ class ExtinctionEstimate:
     that died out, "epidemic" for graph trials whose failed fraction reached
     the epidemic threshold. ``cap_hit_rate`` reports the fraction of trials
     stopped by a cap (those count as survival, biasing extinction estimates
-    downward; keep it small relative to the interval width).
+    downward; keep it small relative to the interval width). ``diagnostics``,
+    when present, counts how the sample was built: graph trials sum their
+    graphs' ``self_loops``, ``multi_edges``, ``odd_stub_cs`` (CSes that
+    dropped a stub) and ``target_redraws``.
     """
 
     quantity: str
@@ -65,13 +68,14 @@ class ExtinctionEstimate:
     ci_high: float
     rng_seed: int
     cap_hit_rate: float = 0.0
+    diagnostics: dict | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.ci_low <= self.estimate <= self.ci_high <= 1.0):
             raise ValueError("estimate must lie inside its confidence interval in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
+        payload = {
             "quantity": self.quantity,
             "trials": self.trials,
             "count": self.count,
@@ -80,6 +84,9 @@ class ExtinctionEstimate:
             "rng_seed": self.rng_seed,
             "cap_hit_rate": self.cap_hit_rate,
         }
+        if self.diagnostics is not None:
+            payload["diagnostics"] = dict(self.diagnostics)
+        return payload
 
 
 @dataclass(frozen=True)
@@ -207,6 +214,10 @@ class FiniteSystem:
     ``security`` holds one uniform draw per agent; ``vulnerable`` is the
     once-per-agent evaluation of the threshold rule (the uniform lies below
     the vulnerability profile at the agent's realized internal degree).
+    ``erasure`` records the repairs made while wiring: ``self_loops`` and
+    ``multi_edges`` erased from the internal graphs, ``odd_stub_cs`` (the CSes
+    that dropped one stub) and ``target_redraws`` (external targets redrawn
+    to keep each agent's dependents distinct).
     """
 
     sizes: tuple[int, ...]
@@ -242,13 +253,11 @@ class FiniteSystem:
 
 
 def _csr_from_edges(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # Stable: run_cascade hands out its transmission coins in this order.
     order = np.argsort(src, kind="stable")
-    src = src[order]
-    dst = dst[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, dst
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[order]
 
 
 def _csr_gather(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -261,29 +270,36 @@ def _csr_gather(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np
 
 def _distinct_targets(
     rng: np.random.Generator, src: np.ndarray, n_targets: int, offset: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """Uniform targets in [offset, offset + n_targets), distinct within each
-    source agent. Sampled with replacement and patched: collisions are rare
-    for degrees far below the target population, with a per-agent exact
-    fallback for stragglers."""
+    source agent, and the number of targets redrawn to get there. Sampled
+    with replacement and patched: every repeat after a source's first draw of
+    that target is redrawn, in index order, for at most 16 rounds, with a
+    per-agent exact fallback for stragglers."""
     dst = rng.integers(0, n_targets, size=src.size, dtype=np.int64)
+    redraws = 0
+    # Entries of the sources that may still hold a repeat: after the first
+    # round, only a source that just redrew can have gained one.
+    live = np.arange(src.size)
     for _ in range(16):
-        order = np.lexsort((dst, src))
-        s, d = src[order], dst[order]
-        dup = np.zeros(src.size, dtype=bool)
-        same = (s[1:] == s[:-1]) & (d[1:] == d[:-1])
-        dup[order[1:][same]] = True
-        if not dup.any():
-            return dst + offset
-        dst[dup] = rng.integers(0, n_targets, size=int(dup.sum()), dtype=np.int64)
+        key = src[live] * n_targets + dst[live]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        dup = np.sort(live[order[1:][key[1:] == key[:-1]]])
+        if not dup.size:
+            return dst + offset, redraws
+        dst[dup] = rng.integers(0, n_targets, size=dup.size, dtype=np.int64)
+        redraws += dup.size
+        live = live[np.isin(src[live], src[dup])]
     # A stubborn agent must have degree comparable to the population: redo it
     # exactly without replacement.
-    for agent in np.unique(src):
+    for agent in np.unique(src[live]):
         mask = src == agent
         k = int(mask.sum())
         if len(np.unique(dst[mask])) != k:
             dst[mask] = rng.choice(n_targets, size=k, replace=False)
-    return dst + offset
+            redraws += k
+    return dst + offset, redraws
 
 
 def generate_system_graph(
@@ -309,7 +325,7 @@ def generate_system_graph(
         idx = rng.choice(pmf.n_points, size=sizes[i], p=pmf.mass / pmf.mass.sum())
         degree_vectors[offsets[i] : offsets[i + 1]] = pmf.support[idx]
 
-    erasure = {"self_loops": 0, "multi_edges": 0, "odd_stub_cs": []}
+    erasure = {"self_loops": 0, "multi_edges": 0, "odd_stub_cs": [], "target_redraws": 0}
     edge_src: list[np.ndarray] = []
     edge_dst: list[np.ndarray] = []
     for i in range(n):
@@ -324,9 +340,10 @@ def generate_system_graph(
         loops = u == v
         erasure["self_loops"] += int(loops.sum())
         u, v = u[~loops], v[~loops]
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        key = lo * total + hi
-        unique_key = np.unique(key)
+        key = np.sort(np.minimum(u, v) * total + np.maximum(u, v))
+        first = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        unique_key = key[first]
         erasure["multi_edges"] += int(key.size - unique_key.size)
         lo, hi = unique_key // total, unique_key % total
         edge_src.append(np.concatenate([lo, hi]))
@@ -351,8 +368,10 @@ def generate_system_graph(
             srcs = np.repeat(agents, douts)
             if srcs.size == 0:
                 continue
+            targets, redraws = _distinct_targets(rng, srcs, sizes[j], int(offsets[j]))
+            erasure["target_redraws"] += redraws
             ext_src.append(srcs)
-            ext_dst.append(_distinct_targets(rng, srcs, sizes[j], int(offsets[j])))
+            ext_dst.append(targets)
     esrc = np.concatenate(ext_src) if ext_src else np.empty(0, dtype=np.int64)
     edst = np.concatenate(ext_dst) if ext_dst else np.empty(0, dtype=np.int64)
     external_indptr, external_indices = _csr_from_edges(esrc, edst, total)
@@ -490,9 +509,12 @@ def estimate_epidemic_probability(
     threshold = epidemic_fraction * total
     count = 0
     rows: list[EpidemicTrial] = []
+    diagnostics = dict.fromkeys(("self_loops", "multi_edges", "odd_stub_cs", "target_redraws"), 0)
     for trial in range(trials):
         graph_ss, pick_ss, cascade_ss = _trial_seed(rng_seed, trial).spawn(3)
         system = generate_system_graph(model, sizes, np.random.default_rng(graph_ss))
+        for key, value in system.erasure.items():
+            diagnostics[key] += len(value) if key == "odd_stub_cs" else value
         pick = np.random.default_rng(pick_ss)
         seed_agent = int(
             system.offsets[seed_cs] + pick.integers(0, system.sizes[seed_cs])
@@ -518,5 +540,6 @@ def estimate_epidemic_probability(
         ci_low=low,
         ci_high=high,
         rng_seed=rng_seed,
+        diagnostics=diagnostics,
     )
     return estimate, rows

@@ -86,3 +86,54 @@ def test_unreachable_gamma_exits_2(capsys):
             "--trials", "1", "--gamma", "2"]
     assert main(argv) == 2
     assert "epidemic_fraction" in capsys.readouterr().err
+
+
+def _edited_p1(tmp_path, edit) -> str:
+    doc = json.loads(fixture_path("example1_p1").read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_compare_with_large_negative_exponent_exits_0(tmp_path, capsys):
+    """phi = d ** 400 overflows a double at d = 20, where compare checks the
+    aggregate-risk shape; phi saturates at 1 instead."""
+    def edit(doc):
+        doc["vulnerability"][0]["exponent"] = -400.0
+
+    path = _edited_p1(tmp_path, edit)
+    p1 = str(fixture_path("example1_p1"))
+    for argv in (["compare", path, p1, "--json"], ["compare", p1, path, "--json"]):
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["risk_shape"] == []
+
+
+class TestHugeDegree:
+    """One CS-0 degree of 10**12: the LP box would hold 10**12 points and the
+    increasing-concave walk as many levels."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        def edit(doc):
+            doc["degree_dists"][0]["entries"][-1][0][0] = 10**12
+
+        return _edited_p1(tmp_path, edit)
+
+    def test_orders_idcv_reports_necessary_conditions(self, path, capsys):
+        assert main(["orders", path, path, "--relation", "idcv", "--cs", "0", "--json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["results"]
+        assert (row["outcome"], row["method"]) == ("inconclusive", "necessary-conditions")
+        assert row["detail"].startswith("grid of 4000000000004 points exceeds limit 400")
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_compare_exits_0(self, path, first, capsys):
+        p1 = str(fixture_path("example1_p1"))
+        assert main(["compare", *((path, p1) if first else (p1, path)), "--json"]) == 0
+        idcv = json.loads(capsys.readouterr().out)["hypotheses"][2]["rows"][0]
+        assert idcv["method"] == "necessary-conditions"
+
+    def test_orders_icv_with_huge_second_argument(self, path, capsys):
+        p1 = str(fixture_path("example1_p1"))
+        assert main(["orders", p1, path, "--relation", "icv", "--cs", "0", "--axis", "0"]) == 0
+        assert "cs 0 axis 0: holds (exact)" in capsys.readouterr().out

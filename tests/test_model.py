@@ -27,6 +27,14 @@ class TestVulnerabilityProfile:
         assert phi.raw(1) == 1.0  # validation never flags a power law
         assert phi(16) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("scale, expected", [(0.5, 1.0), (0.0, 0.0), (-0.5, 0.0)])
+    def test_overflowing_power_saturates(self, scale, expected):
+        """20 ** 400 overflows a double; phi saturates through the clamp,
+        and a zero scale stays zero."""
+        phi = VulnerabilityProfile(kind="power-law", scale=scale, exponent=-400.0)
+        assert [phi(d) for d in (1, 20, 10**12)] == [min(1.0, max(0.0, scale)), expected, expected]
+        assert phi.raw(20) == expected
+
     def test_table_lookup_and_coverage(self):
         phi = VulnerabilityProfile(kind="table", table={1: 1.7, 2: 0.4})
         assert phi(2) == pytest.approx(0.4)

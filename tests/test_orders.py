@@ -89,6 +89,51 @@ class TestIcv:
         assert reverse.outcome == FAILS
 
 
+    def test_matches_level_by_level_walk(self):
+        """The running cdf sums walked one integer level at a time, the
+        definition, agree with the stretch-by-stretch walk: same outcome,
+        same first violating level, sums within rounding."""
+        rng = np.random.default_rng(11)
+        fails = 0
+        for _ in range(400):
+            x, y = (random_marginal(rng, max_degree=30, max_points=4) for _ in range(2))
+            sum_x = sum_y = 0.0
+            expected = None
+            for t in range(int(max(x.support.max(), y.support.max())) + 1):
+                sum_x += x.cdf_at(t)
+                sum_y += y.cdf_at(t)
+                if sum_x < sum_y - 1e-9:
+                    expected = (t, sum_x, sum_y)
+                    break
+            verdict = compare_icv(x, y)
+            assert verdict.holds == (expected is None)
+            if expected is not None:
+                fails += 1
+                w = verdict.witness
+                assert w["k"] == expected[0]
+                assert (w["cum_F_x"], w["cum_F_y"]) == pytest.approx(expected[1:], abs=1e-12)
+        assert 50 < fails < 350
+
+    def test_cost_follows_support_points_not_levels(self, monkeypatch):
+        """A degree of 10**12 costs one cdf evaluation per merged support
+        point, whichever side it is on."""
+        calls = []
+        cdf_at = MarginalPmf.cdf_at
+
+        def counted(self, t):
+            calls.append(t)
+            if len(calls) > 100:
+                raise AssertionError("compare_icv walks integer levels")
+            return cdf_at(self, t)
+
+        monkeypatch.setattr(MarginalPmf, "cdf_at", counted)
+        small = MarginalPmf(np.array([0, 1, 3]), np.array([0.2, 0.5, 0.3]))
+        huge = MarginalPmf(np.array([0, 2, 10**12]), np.array([0.1, 0.4, 0.5]))
+        assert compare_icv(small, huge).holds
+        assert compare_icv(huge, small).outcome == FAILS
+        assert compare_icv(huge, huge).holds
+
+
 class TestConcordance:
     def test_example2(self, p2, p3):
         assert compare_concordance(p2, p3).holds
