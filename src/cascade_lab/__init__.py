@@ -22,7 +22,6 @@ from .model import (
     validate_model,
 )
 from .children import (
-    ChildrenPmf,
     OffspringLaw,
     SizeBiasedPmf,
     build_children,

@@ -5,9 +5,9 @@ matrix collects the expected children counts per type; the process can
 sustain an epidemic iff the spectral radius exceeds 1, and the per-type
 die-out probabilities form the minimal fixed point of the offspring
 generating functions, reached by Newton's method from zero. Both work on
-any sequence of laws with ``n_types``, ``origin_type``, ``mean()``,
-``support``, ``mass`` and ``thinning``: the closed-form ``OffspringLaw``s, or
-enumerated ``ChildrenPmf``s.
+any sequence of ``OffspringLaw``s, closed-form or enumerated (thinning one),
+and read only ``n_types``, ``origin_type``, ``mean()``, ``support``, ``mass``
+and ``thinning``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .children import CHILDREN_MASS_TOL, ChildrenPmf, allowed_child_types, offspring_laws
+from .children import CHILDREN_MASS_TOL, OffspringLaw, allowed_child_types, offspring_laws
 from .model import SystemModel
 from .pmf import pgf
 
@@ -83,7 +83,7 @@ class MeanMatrix:
         return self.order // 2
 
 
-def mean_matrix(children: Sequence[ChildrenPmf]) -> MeanMatrix:
+def mean_matrix(children: Sequence[OffspringLaw]) -> MeanMatrix:
     """Stack the per-type expected children counts into the mean matrix."""
     if not children:
         raise ValueError("no children distributions given")
@@ -128,7 +128,7 @@ def spectral_radius(m: MeanMatrix | np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(values))))
 
 
-def _gf_map(children: Sequence[ChildrenPmf]):
+def _gf_map(children: Sequence[OffspringLaw]):
     """The generating map s -> (f_t(s))_t of a sequence of laws and its
     Jacobian, as ``pgf`` calls on their supports stacked into a (types, rows,
     types) array; the padding rows of shorter laws carry no mass."""
@@ -159,7 +159,7 @@ def _gf_map(children: Sequence[ChildrenPmf]):
     return gf, jacobian
 
 
-def _gf_vector(children: Sequence[ChildrenPmf], s: np.ndarray) -> np.ndarray:
+def _gf_vector(children: Sequence[OffspringLaw], s: np.ndarray) -> np.ndarray:
     return _gf_map(children)[0](s)
 
 
@@ -197,7 +197,7 @@ class PoEVector:
         }
 
 
-def solve_extinction(children: Sequence[ChildrenPmf]) -> PoEVector:
+def solve_extinction(children: Sequence[OffspringLaw]) -> PoEVector:
     """Minimal fixed point of the offspring generating functions.
 
     Types where f^k(0) stays 0 for every k never die out. On the others

@@ -6,16 +6,18 @@ neighbors are all still up; type ``n + i`` is a CS-i agent brought down by an
 internal neighbor. A failing agent of either CS-i type produces children only
 of types ``{j : j != i, j < n}`` (external, fresh) and ``n + i`` (internal).
 
-An ``OffspringLaw`` is the closed form: the degree pmf as potential children
-and an independent binomial thinning per coordinate, with the transmission
-probability ``q[i, j]`` externally and internally the probability that a
-randomly chosen internal neighbor is vulnerable (size-biased internal degree
-law averaged against the vulnerability profile). The internally-infected law
+``OffspringLaw`` is the one law type: a pmf of potential children and an
+independent binomial thinning per coordinate. ``offspring_law`` builds the
+closed form from the degree pmf, thinning with the transmission probability
+``q[i, j]`` externally and internally with the probability that a randomly
+chosen internal neighbor is vulnerable (size-biased internal degree law
+averaged against the vulnerability profile). The internally-infected law
 first removes the one internal neighbor that did the infecting, replacing the
 internal potential count D by max(D - 1, 0); when the internal-degree floor
 holds this is exactly the shifted joint law, and it stays a probability
-distribution when the floor is lifted. ``build_children`` enumerates the laws
-into explicit ``ChildrenPmf`` tables for sampling and inspection.
+distribution when the floor is lifted. ``OffspringLaw.children`` enumerates
+a law into the same law with thinning one, an explicit children table for
+sampling and inspection; ``build_children`` does so for every type.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from .model import ProfileCoverageError, SystemModel, VulnerabilityProfile
 from .pmf import MarginalPmf, PmfError, _frozen, pgf
 
-# ChildrenPmf masses come out of float convolutions; unit-mass tolerance.
+# Enumerated masses come out of float convolutions; unit-mass tolerance.
 CHILDREN_MASS_TOL = 1e-10
 # Hard guard on the exact-convolution support size.
 MAX_SUPPORT_POINTS = 1_000_000
@@ -68,86 +70,6 @@ class SizeBiasedPmf:
 
     def expectation(self, fn: Callable[[int], float]) -> float:
         return float(sum(m * fn(int(d)) for d, m in zip(self.support, self.mass)))
-
-
-@dataclass(frozen=True, eq=False)
-class ChildrenPmf:
-    """Finite-support pmf of the children-count vector of one agent type.
-
-    Support vectors have length ``2 * n_systems`` and are zero outside the
-    coordinates a failing agent of ``origin_type`` can actually produce.
-    """
-
-    origin_type: int
-    n_systems: int
-    support: np.ndarray
-    mass: np.ndarray
-    thinning = 1.0  # class attribute: enumerated laws are thinned with probability one
-
-    def __post_init__(self):
-        support = np.asarray(self.support, dtype=np.int64)
-        if support.ndim == 1:
-            support = support[:, None]
-        mass = np.asarray(self.mass, dtype=np.float64).ravel()
-        n = self.n_systems
-        if support.shape[1] != 2 * n:
-            raise PmfError(f"children vectors must have length {2 * n}")
-        if mass.shape[0] != support.shape[0]:
-            raise PmfError("support and mass must have identical length")
-        if not 0 <= self.origin_type < 2 * n:
-            raise PmfError("origin_type out of range")
-        if np.any(support < 0) or np.any(mass < 0):
-            raise PmfError("negative entries")
-        allowed = allowed_child_types(self.origin_cs, n)
-        forbidden = [j for j in range(2 * n) if j not in allowed]
-        if forbidden and np.any(support[:, forbidden] != 0):
-            raise PmfError(
-                f"type {self.origin_type} children must vanish outside {sorted(allowed)}"
-            )
-        if abs(mass.sum() - 1.0) > CHILDREN_MASS_TOL:
-            raise PmfError(f"children masses sum to {mass.sum()!r}, expected 1")
-        order = np.lexsort(support.T[::-1])
-        support = support[order]
-        mass = mass[order]
-        if support.shape[0] > 1 and np.any(np.all(np.diff(support, axis=0) == 0, axis=1)):
-            raise PmfError("duplicate support vector")
-        object.__setattr__(self, "support", _frozen(support))
-        object.__setattr__(self, "mass", _frozen(mass))
-
-    @property
-    def origin_cs(self) -> int:
-        return self.origin_type % self.n_systems
-
-    @property
-    def n_types(self) -> int:
-        return 2 * self.n_systems
-
-    def mean(self) -> np.ndarray:
-        """Expected children count per type (one row of the mean matrix)."""
-        return self.mass @ self.support.astype(np.float64)
-
-    def gf(self, s) -> np.ndarray:
-        """Generating function of the children vector (see ``pgf``)."""
-        return pgf(self.support, self.mass, s)
-
-    def prob(self, vec) -> float:
-        vec = np.asarray(vec, dtype=np.int64)
-        hit = np.nonzero(np.all(self.support == vec, axis=1))[0]
-        return float(self.mass[hit[0]]) if hit.size else 0.0
-
-    def as_dict(self) -> dict[tuple, float]:
-        return {tuple(int(x) for x in v): float(m) for v, m in zip(self.support, self.mass)}
-
-    def to_document(self) -> dict:
-        """Sparse-entries document in the model-file format, for inspection."""
-        return {
-            "origin_type": self.origin_type,
-            "n_systems": self.n_systems,
-            "entries": [
-                [[int(x) for x in vec], float(m)]
-                for vec, m in zip(self.support, self.mass)
-            ],
-        }
 
 
 def internal_vulnerability(p_ii: MarginalPmf, profile: VulnerabilityProfile) -> float:
@@ -198,16 +120,55 @@ def thinning_probabilities(model: SystemModel, cs: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class OffspringLaw:
-    """Offspring law of one agent type in closed form: ``support``/``mass``
-    is the law of the potential-children vector over the ``2 * n_systems``
-    types, and ``thinning[j]`` the probability that a type-j potential child
-    fails. The children vector is its coordinatewise binomial thinning."""
+    """Offspring law of one agent type: ``support``/``mass`` is the law of
+    the potential-children vector over the ``2 * n_systems`` types, and
+    ``thinning[j]`` the probability that a type-j potential child fails.
+    The children vector is its coordinatewise binomial thinning; with
+    thinning one it is the potential-children vector itself.
+
+    Support vectors are zero outside the coordinates a failing agent of
+    ``origin_type`` can produce. Rows are kept in the order given, repeats
+    included: that order fixes every generating-function sum.
+    """
 
     origin_type: int
     n_systems: int
     support: np.ndarray
     mass: np.ndarray
     thinning: np.ndarray
+
+    def __post_init__(self):
+        n = self.n_systems
+        support = np.array(self.support, dtype=np.int64)
+        mass = np.array(self.mass, dtype=np.float64)
+        thinning = np.array(self.thinning, dtype=np.float64)
+        if support.ndim != 2 or support.shape[1] != 2 * n:
+            raise PmfError(f"children vectors must have length {2 * n}")
+        if mass.shape != support.shape[:1]:
+            raise PmfError("support and mass must have identical length")
+        if thinning.shape != (2 * n,):
+            raise PmfError(f"thinning must have shape ({2 * n},)")
+        if not 0 <= self.origin_type < 2 * n:
+            raise PmfError("origin_type out of range")
+        if support.min(initial=0) < 0 or mass.min(initial=0.0) < 0.0:
+            raise PmfError("negative entries")
+        if not (thinning.min() >= 0.0 and thinning.max() <= 1.0):
+            raise PmfError("thinning probabilities must lie in [0, 1]")
+        allowed = allowed_child_types(self.origin_cs, n)
+        forbidden = [j for j in range(2 * n) if j not in allowed]
+        if support[:, forbidden].any():
+            raise PmfError(
+                f"type {self.origin_type} children must vanish outside {sorted(allowed)}"
+            )
+        if abs(mass.sum() - 1.0) > CHILDREN_MASS_TOL:
+            raise PmfError(f"children masses sum to {mass.sum()!r}, expected 1")
+        object.__setattr__(self, "support", _frozen(support))
+        object.__setattr__(self, "mass", _frozen(mass))
+        object.__setattr__(self, "thinning", _frozen(thinning))
+
+    @property
+    def origin_cs(self) -> int:
+        return self.origin_type % self.n_systems
 
     @property
     def n_types(self) -> int:
@@ -222,13 +183,22 @@ class OffspringLaw:
         """Expected children count per type (one row of the mean matrix)."""
         return self.thinning * (self.mass @ self.support.astype(np.float64))
 
-    def children(self) -> ChildrenPmf:
-        """Enumerate the thinned law into an explicit children table."""
+    def as_dict(self) -> dict[tuple, float]:
+        return {tuple(int(x) for x in v): float(m) for v, m in zip(self.support, self.mass)}
+
+    def children(self) -> "OffspringLaw":
+        """Enumerate the thinned law: the same law with thinning one, on
+        distinct lexsorted children vectors."""
         acc: dict[tuple, float] = {}
         for d, m in zip(self.support, self.mass):
             if m == 0.0:
                 continue
-            rows = [_binomial_row(int(k), q) for k, q in zip(d, self.thinning)]
+            try:
+                rows = [_binomial_row(int(k), q) for k, q in zip(d, self.thinning)]
+            except OverflowError:
+                raise SupportExplosionError(
+                    f"degree {int(d.max())} is too large to enumerate exactly"
+                ) from None
             for combo in product(*(range(int(k) + 1) for k in d)):
                 weight = float(m)
                 for row, k in zip(rows, combo):
@@ -238,7 +208,12 @@ class OffspringLaw:
                 acc[combo] = acc.get(combo, 0.0) + weight
                 if len(acc) > MAX_SUPPORT_POINTS:
                     raise SupportExplosionError(f"more than {MAX_SUPPORT_POINTS} support points")
-        return ChildrenPmf(self.origin_type, self.n_systems, list(acc), list(acc.values()))
+        support = np.array(list(acc), dtype=np.int64).reshape(len(acc), self.n_types)
+        mass = np.array(list(acc.values()), dtype=np.float64)
+        order = np.lexsort(support.T[::-1])
+        return OffspringLaw(
+            self.origin_type, self.n_systems, support[order], mass[order], np.ones(self.n_types)
+        )
 
 
 def offspring_law(model: SystemModel, origin_type: int) -> OffspringLaw:
@@ -248,35 +223,45 @@ def offspring_law(model: SystemModel, origin_type: int) -> OffspringLaw:
     n = model.n_systems
     if not 0 <= origin_type < 2 * n:
         raise IndexError(f"origin_type {origin_type} out of range")
-    cs = origin_type % n
-    joint = model.degree_dists[cs]
-    cols = [n + cs if j == cs else j for j in range(n)]
+    if origin_type >= n:
+        return _infected(offspring_law(model, origin_type - n))
+    joint = model.degree_dists[origin_type]
+    cols = [n + origin_type if j == origin_type else j for j in range(n)]
     support = np.zeros((joint.n_points, 2 * n), dtype=np.int64)
     support[:, cols] = joint.support
-    if origin_type >= n:
-        support[:, n + cs] = np.maximum(support[:, n + cs] - 1, 0)
     thinning = np.zeros(2 * n)
-    thinning[cols] = thinning_probabilities(model, cs)
-    return OffspringLaw(origin_type, n, _frozen(support), joint.mass, _frozen(thinning))
+    thinning[cols] = thinning_probabilities(model, origin_type)
+    return OffspringLaw(origin_type, n, support, joint.mass, thinning)
+
+
+def _infected(fresh: OffspringLaw) -> OffspringLaw:
+    """The infected type's law from its CS's fresh law: one internal
+    potential child fewer, the same thinning."""
+    n, internal = fresh.n_systems, fresh.n_systems + fresh.origin_type
+    support = fresh.support.copy()
+    support[:, internal] = np.maximum(support[:, internal] - 1, 0)
+    return OffspringLaw(internal, n, support, fresh.mass, fresh.thinning)
 
 
 def offspring_laws(model: SystemModel) -> list[OffspringLaw]:
-    """All ``2 * n_systems`` closed-form offspring laws, indexed by type."""
-    return [offspring_law(model, t) for t in range(2 * model.n_systems)]
+    """All ``2 * n_systems`` closed-form offspring laws, indexed by type;
+    each CS's thinning is computed once, for both of its types."""
+    fresh = [offspring_law(model, cs) for cs in range(model.n_systems)]
+    return fresh + [_infected(law) for law in fresh]
 
 
-def children_distribution_fresh(model: SystemModel, cs: int) -> ChildrenPmf:
+def children_distribution_fresh(model: SystemModel, cs: int) -> OffspringLaw:
     """Exact offspring law of a freshly failed CS-``cs`` agent."""
     return offspring_law(model, cs).children()
 
 
-def children_distribution_infected(model: SystemModel, cs: int) -> ChildrenPmf:
+def children_distribution_infected(model: SystemModel, cs: int) -> OffspringLaw:
     """Exact offspring law of a CS-``cs`` agent infected through an internal
     neighbor: one internal potential child is removed before thinning."""
     return offspring_law(model, model.n_systems + cs).children()
 
 
-def build_children(model: SystemModel) -> list[ChildrenPmf]:
+def build_children(model: SystemModel) -> list[OffspringLaw]:
     """All ``2 * n_systems`` offspring laws enumerated, indexed by type."""
     return [law.children() for law in offspring_laws(model)]
 

@@ -1,7 +1,8 @@
 """Monte Carlo validation at two fidelities.
 
 ``simulate_branching`` draws the multi-type offspring process directly from
-the exact children distributions and estimates the die-out probability.
+the enumerated offspring laws (``OffspringLaw``s with thinning one) and
+estimates the die-out probability.
 ``generate_system_graph`` + ``run_cascade`` build a finite random graph
 realizing the degree laws (configuration-model internals, uniformly wired
 directed external edges) and propagate failures by the threshold rule inside
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .children import ChildrenPmf, build_children
+from .children import OffspringLaw, build_children
 from .model import SystemModel
 
 _Z95 = 1.959963984540054
@@ -115,7 +116,7 @@ def _trial_seed(seed: int, trial: int) -> np.random.SeedSequence:
 
 
 def simulate_offspring_process(
-    children: Sequence[ChildrenPmf],
+    children: Sequence[OffspringLaw],
     seed_type: int,
     generation_cap: int = 200,
     population_cap: int = 100_000,
@@ -124,8 +125,12 @@ def simulate_offspring_process(
     keep_traces: int = 0,
 ) -> tuple[ExtinctionEstimate, list[CascadeTrace]]:
     """Estimate the die-out probability by direct simulation of the
-    offspring laws. A trial ends when a generation is empty (extinct) or a
-    cap is hit (counted as survival)."""
+    offspring laws, which must be enumerated (thinning one): each agent
+    draws one row of its law's table as its children vector. A trial ends
+    when a generation is empty (extinct) or a cap is hit (counted as
+    survival)."""
+    if any(np.any(h.thinning != 1.0) for h in children):
+        raise ValueError("offspring laws must have thinning one: enumerate with children() first")
     if generation_cap < 1 or population_cap < 1:
         raise ValueError("caps must be >= 1")
     if trials < 1:
@@ -191,8 +196,8 @@ def simulate_branching(
     rng_seed: int = 0,
     keep_traces: int = 0,
 ) -> tuple[ExtinctionEstimate, list[CascadeTrace]]:
-    """Branching-process Monte Carlo for a system model (builds the exact
-    offspring laws, then samples them)."""
+    """Branching-process Monte Carlo for a system model (enumerates the
+    offspring laws with ``build_children``, then samples them)."""
     return simulate_offspring_process(
         build_children(model),
         seed_type,

@@ -32,7 +32,7 @@ from cascade_lab.children import (
 from cascade_lab.branching import solve_extinction
 from cascade_lab.orders import compare_concordance, compare_icv, compare_lt, certify_idcv, certify_supermodular
 from cascade_lab.simulate import estimate_epidemic_probability
-from cascade_lab.children import ChildrenPmf
+from cascade_lab.children import OffspringLaw
 from cascade_lab.pmf import JointPmf
 
 from conftest import (
@@ -216,7 +216,9 @@ def test_criterion_4_comparison_property_suites():
         if spread is None:
             continue
         try:
-            h_spread = ChildrenPmf(h.origin_type, h.n_systems, spread.support, spread.mass)
+            h_spread = OffspringLaw(
+                h.origin_type, h.n_systems, spread.support, spread.mass, np.ones(h.n_types)
+            )
         except ValueError:
             continue
         modified = list(children)

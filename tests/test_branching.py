@@ -1,5 +1,7 @@
 """Mean matrix, criticality, and the extinction fixed point."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from cascade_lab import (
     spectral_radius,
 )
 from cascade_lab.branching import MeanMatrix, _gf_vector
-from cascade_lab.children import ChildrenPmf, OffspringLaw, build_children
+from cascade_lab.children import OffspringLaw, build_children
 
 from conftest import (
     MU_P1,
@@ -37,11 +39,12 @@ EXAMPLE1_M = np.array(
 
 
 def point_children(origin_type, n, vec):
-    return ChildrenPmf(
+    return OffspringLaw(
         origin_type=origin_type,
         n_systems=n,
         support=np.array([vec]),
         mass=np.array([1.0]),
+        thinning=np.ones(2 * n),
     )
 
 
@@ -83,14 +86,16 @@ class TestMeanMatrix:
 
     def test_forbidden_child_of_infected_type(self):
         # Type 2 is an infected CS-0 agent; a type-3 child (infected CS-1) is
-        # forbidden for it exactly as for the fresh CS-0 type in row 0.
+        # forbidden for it exactly as for the fresh CS-0 type in row 0. The
+        # OffspringLaw constructor rejects such a law, so a stand-in carrying
+        # only what mean_matrix reads brings the row to the matrix check.
         for row in (0, 2):
             laws = [
                 OffspringLaw(t, 2, np.zeros((1, 4), dtype=np.int64), np.array([1.0]), np.ones(4))
                 for t in range(4)
             ]
-            laws[row] = OffspringLaw(
-                row, 2, np.array([[0, 0, 0, 1]]), np.array([1.0]), np.ones(4)
+            laws[row] = SimpleNamespace(
+                origin_type=row, n_types=4, mean=lambda: np.array([0.0, 0.0, 0.0, 1.0])
             )
             message = rf"entry \({row}, 3\) must be a structural zero"
             with pytest.raises(ValueError, match=message):
@@ -142,7 +147,7 @@ class TestGeneratingFunction:
 
     def test_at_zero_is_mass_at_zero(self, model_p1):
         h = build_children(model_p1)[0]
-        assert h.gf(np.zeros(4)) == pytest.approx(h.prob([0, 0, 0, 0]))
+        assert h.gf(np.zeros(4)) == pytest.approx(h.as_dict().get((0, 0, 0, 0), 0.0))
 
     def test_fixed_point_property_example1(self, model_p1):
         h = build_children(model_p1)[0]
@@ -193,7 +198,9 @@ class TestExtinctionProbabilities:
             branch = [0] * 4
             branch[2 + cs] = 2
             children.append(
-                ChildrenPmf(origin, 2, np.array([[0] * 4, branch]), np.array([0.5, 0.5]))
+                OffspringLaw(
+                    origin, 2, np.array([[0] * 4, branch]), np.array([0.5, 0.5]), np.ones(4)
+                )
             )
         rho = spectral_radius(mean_matrix(children))
         assert rho == pytest.approx(1.0, abs=1e-12)
@@ -315,8 +322,8 @@ class TestComparisonLawsSmall:
             if spread is None:
                 continue
             try:
-                h_spread = ChildrenPmf(
-                    h.origin_type, h.n_systems, spread.support, spread.mass
+                h_spread = OffspringLaw(
+                    h.origin_type, h.n_systems, spread.support, spread.mass, np.ones(h.n_types)
                 )
             except Exception:
                 continue

@@ -12,7 +12,7 @@ from cascade_lab import (
     constant_profile,
 )
 from cascade_lab.children import (
-    ChildrenPmf,
+    OffspringLaw,
     SizeBiasedPmf,
     ZeroInternalDegreeError,
     build_children,
@@ -152,11 +152,12 @@ class TestChildrenInfected:
 class TestZeroPattern:
     def test_forbidden_coordinate_rejected(self):
         with pytest.raises(PmfError):
-            ChildrenPmf(
+            OffspringLaw(
                 origin_type=0,
                 n_systems=2,
                 support=np.array([[1, 0, 0, 0]]),
                 mass=np.array([1.0]),
+                thinning=np.ones(4),
             )
 
     def test_all_built_children_respect_pattern(self):
@@ -168,6 +169,37 @@ class TestZeroPattern:
                 allowed = {j for j in range(n) if j != h.origin_cs} | {n + h.origin_cs}
                 forbidden = [j for j in range(2 * n) if j not in allowed]
                 assert np.all(h.support[:, forbidden] == 0)
+
+
+class TestConstructor:
+    SUPPORT = np.array([[0, 0, 0, 0], [0, 1, 1, 0]])
+
+    @pytest.mark.parametrize(
+        "mass, thinning",
+        [
+            ([1.5, -0.5], np.ones(4)),  # negative mass
+            ([1.0, 0.5], np.ones(4)),  # total mass 1.5
+            ([0.5, 0.5], np.ones(2)),  # thinning of the wrong shape
+            ([0.5, 0.5], np.ones((1, 4))),
+            ([0.5, 0.5], np.array([1.0, 1.5, 1.0, 1.0])),  # thinning above 1
+        ],
+    )
+    def test_invalid_law_rejected(self, mass, thinning):
+        with pytest.raises(PmfError):
+            OffspringLaw(0, 2, self.SUPPORT, np.array(mass), thinning)
+
+    def test_rows_kept_in_given_order_with_repeats(self):
+        support = np.array([[0, 1, 1, 0], [0, 0, 0, 0], [0, 1, 1, 0]])
+        law = OffspringLaw(0, 2, support, np.array([0.25, 0.5, 0.25]), np.full(4, 0.5))
+        np.testing.assert_array_equal(law.support, support)
+        np.testing.assert_array_equal(law.mass, [0.25, 0.5, 0.25])
+
+    def test_enumerated_law_has_thinning_one(self, model_p1):
+        for h in build_children(model_p1):
+            np.testing.assert_array_equal(h.thinning, np.ones(4))
+            assert len(h.as_dict()) == h.support.shape[0]
+            order = np.lexsort(h.support.T[::-1])
+            np.testing.assert_array_equal(order, np.arange(h.support.shape[0]))
 
 
 class TestOracleEquivalence:

@@ -3,14 +3,20 @@ read as a model or a run."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cascade_lab
 from cascade_lab.cli import build_parser, main
 from cascade_lab.modelio import ModelFormatError, fixture_path, load_fixture, load_model
 from cascade_lab.simulate import estimate_epidemic_probability
 
 PAIR = [str(fixture_path("example1_p2")), str(fixture_path("example2_p3"))]
+SRC = str(Path(cascade_lab.__file__).resolve().parent.parent)
 
 
 def test_repeated_calls_share_no_arguments(capsys):
@@ -137,3 +143,42 @@ class TestHugeDegree:
         p1 = str(fixture_path("example1_p1"))
         assert main(["orders", p1, path, "--relation", "icv", "--cs", "0", "--axis", "0"]) == 0
         assert "cs 0 axis 0: holds (exact)" in capsys.readouterr().out
+
+    def test_simulate_graph_out_of_memory_exits_2(self, path):
+        """The stub array of a 10**12 degree cannot be allocated: exit 2 with
+        a message, under an address-space limit of 3 GB."""
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))\n"
+            "from cascade_lab.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "simulate-graph", path, "--sizes", "2000,2000"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("degree", [1030, 10**12])
+def test_simulate_bp_degree_beyond_binomial_range_exits_2(tmp_path, degree, capsys):
+    """From degree 1030 on, a binomial coefficient no longer fits a double,
+    so the law cannot be enumerated: exit 2 naming the degree."""
+
+    def edit(doc):
+        doc["degree_dists"][0]["entries"][-1][0][0] = degree
+
+    path = _edited_p1(tmp_path, edit)
+    assert main(["simulate-bp", path, "--trials", "10"]) == 2
+    assert capsys.readouterr().err == f"error: degree {degree} is too large to enumerate exactly\n"
+
+
+def test_simulate_bp_degree_1029_runs(tmp_path, capsys):
+    def edit(doc):
+        doc["degree_dists"][0]["entries"][-1][0][0] = 1029
+
+    assert main(["simulate-bp", _edited_p1(tmp_path, edit), "--trials", "10"]) == 0
+    assert capsys.readouterr().out.startswith("extinction estimate")

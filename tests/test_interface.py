@@ -40,16 +40,6 @@ class TestFixtures:
         assert model.n_systems == 3
         assert model.mode == "degree"
 
-    def test_children_serialize_to_entries_document(self, model_p1):
-        from cascade_lab.children import build_children
-
-        h = build_children(model_p1)[0]
-        doc = h.to_document()
-        assert doc["origin_type"] == 0
-        assert json.dumps(doc)  # JSON-able
-        total = sum(mass for _, mass in doc["entries"])
-        assert total == pytest.approx(1.0, abs=1e-10)
-
 
 class TestRoundTrip:
     def test_serialize_load_identity(self, tmp_path, model_p1, analog_model):

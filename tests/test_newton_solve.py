@@ -14,7 +14,7 @@ from cascade_lab.branching import (
     mean_matrix,
     solve_extinction,
 )
-from cascade_lab.children import ChildrenPmf, build_children, offspring_laws
+from cascade_lab.children import OffspringLaw, build_children, offspring_laws
 from cascade_lab.cli import main
 
 from conftest import random_model, symmetric_children_model
@@ -50,18 +50,20 @@ def periodic_model() -> SystemModel:
     )
 
 
-def one_child(origin: int) -> ChildrenPmf:
+def one_child(origin: int) -> OffspringLaw:
     """Exactly one same-CS infected child: a lineage that never ends."""
     child = [0, 0, 0, 0]
     child[2 + origin % 2] = 1
-    return ChildrenPmf(origin, 2, np.array([child]), np.array([1.0]))
+    return OffspringLaw(origin, 2, np.array([child]), np.array([1.0]), np.ones(4))
 
 
-def critical_pair(origin: int) -> ChildrenPmf:
+def critical_pair(origin: int) -> OffspringLaw:
     """Two same-CS infected children or none, each with probability 1/2."""
     child = [0, 0, 0, 0]
     child[2 + origin % 2] = 2
-    return ChildrenPmf(origin, 2, np.array([[0, 0, 0, 0], child]), np.array([0.5, 0.5]))
+    return OffspringLaw(
+        origin, 2, np.array([[0, 0, 0, 0], child]), np.array([0.5, 0.5]), np.ones(4)
+    )
 
 
 def plain_iteration(laws, steps: int = 1_000_000) -> np.ndarray:

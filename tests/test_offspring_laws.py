@@ -20,6 +20,7 @@ from cascade_lab import (
     cascade_probability,
     extinction_probabilities,
     fixture_path,
+    load_fixture,
     offspring_laws,
     save_model,
 )
@@ -76,6 +77,19 @@ class TestClosedFormMatchesEnumeration:
             batch = law.gf(points[:, None, :])
             assert batch.shape == (9,)
             np.testing.assert_allclose(batch, [law.gf(s) for s in points], rtol=0, atol=1e-15)
+
+    def test_infected_laws_keep_joint_row_order_and_repeats(self):
+        model = load_fixture("example1_p1")
+        laws = offspring_laws(model)
+        for cs in range(2):
+            joint = model.degree_dists[cs]
+            expected = np.zeros((joint.n_points, 4), dtype=np.int64)
+            expected[:, 1 - cs] = joint.support[:, 1 - cs]
+            expected[:, 2 + cs] = np.maximum(joint.support[:, cs] - 1, 0)
+            law = laws[2 + cs]
+            np.testing.assert_array_equal(law.support, expected)
+            np.testing.assert_array_equal(law.mass, joint.mass)
+            assert (law.support.shape[0], len(law.as_dict())) == (16, 12)
 
     def test_laws_need_no_enumeration(self, model_p1):
         for law in offspring_laws(model_p1):
@@ -140,19 +154,21 @@ class TestPeriodicMeanMatrix:
 # tolerance: no children w.p. 0.5 + 5e-11, one same-CS infected child w.p. 0.5.
 OVER_MASSED = """
 import numpy as np
-from cascade_lab.children import ChildrenPmf
+from cascade_lab.children import OffspringLaw
 laws = [
-    ChildrenPmf(t, 2, np.array([[0, 0, 0, 0], [0, 0, 1 - t % 2, t % 2]]),
-                np.array([0.5 + 5e-11, 0.5]))
+    OffspringLaw(t, 2, np.array([[0, 0, 0, 0], [0, 0, 1 - t % 2, t % 2]]),
+                 np.array([0.5 + 5e-11, 0.5]), np.ones(4))
     for t in range(4)
 ]
 """
-# Potential-children mass 1.5, which no constructor check stops: the
-# generating function leaves [0, 1].
+# Stand-ins with the attributes solve_extinction reads and potential-children
+# mass 1.5, which the OffspringLaw constructor rejects: the generating
+# function leaves [0, 1].
 ESCAPING = """
 import numpy as np
-from cascade_lab.children import OffspringLaw
-laws = [OffspringLaw(t, 2, np.zeros((1, 4), dtype=np.int64), np.array([1.5]), np.ones(4))
+from types import SimpleNamespace
+laws = [SimpleNamespace(origin_type=t, n_types=4, support=np.zeros((1, 4), dtype=np.int64),
+                        mass=np.array([1.5]), thinning=np.ones(4), mean=lambda: np.zeros(4))
         for t in range(4)]
 """
 SOLVE = """

@@ -9,8 +9,10 @@ from cascade_lab import (
     SystemModel,
     constant_profile,
     extinction_probabilities,
+    load_fixture,
+    offspring_laws,
 )
-from cascade_lab.children import ChildrenPmf
+from cascade_lab.children import OffspringLaw
 from cascade_lab.simulate import (
     CascadeTrace,
     EXTINCT,
@@ -31,7 +33,7 @@ from conftest import symmetric_children_model
 
 
 def point_children(origin_type, n, vec):
-    return ChildrenPmf(origin_type, n, np.array([vec]), np.array([1.0]))
+    return OffspringLaw(origin_type, n, np.array([vec]), np.array([1.0]), np.ones(2 * n))
 
 
 class TestWilson:
@@ -144,6 +146,20 @@ class TestOffspringProcess:
         for ta, tb in zip(traces_a, traces_b):
             assert ta.termination == tb.termination
             assert np.array_equal(ta.counts, tb.counts)
+
+    def test_thinned_laws_rejected(self):
+        # Sampling the potential-children table of a closed-form law ignores
+        # its thinning: on demo_ns3 that read die-out 0.010 against q* = 0.169.
+        with pytest.raises(ValueError, match="thinning one"):
+            simulate_offspring_process(offspring_laws(load_fixture("demo_ns3")), 0)
+
+    @pytest.mark.parametrize("name", ["example1_p1", "demo_ns3"])
+    def test_enumerated_laws_match_simulate_branching(self, name):
+        model = load_fixture(name)
+        laws = [law.children() for law in offspring_laws(model)]
+        direct, _ = simulate_offspring_process(laws, 0, trials=300, rng_seed=5)
+        via_model, _ = simulate_branching(model, 0, trials=300, rng_seed=5)
+        assert direct == via_model
 
     def test_trace_seed_generation_is_one_hot(self):
         with pytest.raises(ValueError):
