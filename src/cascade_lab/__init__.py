@@ -23,7 +23,6 @@ from .model import (
 )
 from .children import (
     OffspringLaw,
-    SizeBiasedPmf,
     build_children,
     check_vulnerability_scaling,
     children_distribution_fresh,
@@ -33,7 +32,6 @@ from .children import (
     offspring_laws,
 )
 from .branching import (
-    MeanMatrix,
     PoEVector,
     cascade_probability,
     extinction_probabilities,

@@ -1,9 +1,9 @@
 """Multi-type branching analysis: mean matrix, criticality, extinction.
 
 The failure process is a branching process over ``2n`` agent types. Its mean
-matrix collects the expected children counts per type; the process can
-sustain an epidemic iff the spectral radius exceeds 1, and the per-type
-die-out probabilities form the minimal fixed point of the offspring
+matrix, a read-only array, holds the expected children counts per type; the
+process can sustain an epidemic iff the spectral radius exceeds 1, and the
+per-type die-out probabilities form the minimal fixed point of the offspring
 generating functions, reached by Newton's method from zero. Both work on
 any sequence of ``OffspringLaw``s, closed-form or enumerated (thinning one),
 and read only ``n_types``, ``origin_type``, ``mean()``, ``support``, ``mass``
@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .children import CHILDREN_MASS_TOL, OffspringLaw, allowed_child_types, offspring_laws
+from .children import CHILDREN_MASS_TOL, OffspringLaw, offspring_laws
 from .model import SystemModel
 from .pmf import pgf
 
@@ -40,51 +40,15 @@ CRITICAL = "critical"
 SUPERCRITICAL = "supercritical"
 
 
-@dataclass(frozen=True, eq=False)
-class MeanMatrix:
-    """Expected-children matrix: entry (i, j) is the mean number of type-j
+def mean_matrix(children: Sequence[OffspringLaw]) -> np.ndarray:
+    """The read-only mean matrix: entry (i, j) is the mean number of type-j
     children of a failing type-i agent.
 
-    Structural facts checked at construction: a CS-i agent of either type
-    produces children only of the types in ``allowed_child_types``, and
-    removing one internal neighbor cannot raise the internal children mean.
+    Each law keeps its own row nonnegative and zero outside
+    ``allowed_child_types``; the one fact no single law can see is checked
+    here: removing one internal neighbor cannot raise the internal children
+    mean.
     """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ValueError("mean matrix must be square")
-        if values.shape[0] % 2 != 0 or values.shape[0] < 4:
-            raise ValueError("mean matrix order must be an even number >= 4")
-        if np.any(values < 0):
-            raise ValueError("mean matrix entries must be nonnegative")
-        n = values.shape[0] // 2
-        for row in range(2 * n):
-            allowed = allowed_child_types(row % n, n)
-            for j in range(2 * n):
-                if j not in allowed and values[row, j] > STRUCTURAL_ZERO:
-                    raise ValueError(f"entry ({row}, {j}) must be a structural zero")
-        for i in range(n):
-            if values[i, n + i] < values[n + i, n + i] - 1e-12:
-                raise ValueError(
-                    f"internal children mean of type {n + i} exceeds that of type {i}"
-                )
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def order(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_systems(self) -> int:
-        return self.order // 2
-
-
-def mean_matrix(children: Sequence[OffspringLaw]) -> MeanMatrix:
-    """Stack the per-type expected children counts into the mean matrix."""
     if not children:
         raise ValueError("no children distributions given")
     n_types = children[0].n_types
@@ -95,18 +59,22 @@ def mean_matrix(children: Sequence[OffspringLaw]) -> MeanMatrix:
         if h.origin_type != idx:
             raise ValueError(f"children distribution {idx} has origin_type {h.origin_type}")
         rows[idx] = h.mean()
-    return MeanMatrix(rows)
+    n = n_types // 2
+    for i in range(n):
+        if rows[i, n + i] < rows[n + i, n + i] - 1e-12:
+            raise ValueError(f"internal children mean of type {n + i} exceeds that of type {i}")
+    rows.setflags(write=False)
+    return rows
 
 
-def is_positively_regular(m: MeanMatrix | np.ndarray) -> bool:
+def is_positively_regular(m: np.ndarray) -> bool:
     """True iff some power of the matrix is entrywise positive (primitivity).
 
     Works on the boolean positivity pattern only; by Wielandt's bound a
     primitive n x n matrix has an all-positive power at exponent
     n^2 - 2n + 2, so only exponents up to that need checking.
     """
-    values = m.values if isinstance(m, MeanMatrix) else np.asarray(m, dtype=np.float64)
-    pattern = values > STRUCTURAL_ZERO
+    pattern = np.asarray(m, dtype=np.float64) > STRUCTURAL_ZERO
     n = pattern.shape[0]
     power = pattern.copy()
     limit = n * n - 2 * n + 2
@@ -117,10 +85,10 @@ def is_positively_regular(m: MeanMatrix | np.ndarray) -> bool:
     return bool(power.all())
 
 
-def spectral_radius(m: MeanMatrix | np.ndarray) -> float:
+def spectral_radius(m: np.ndarray) -> float:
     """Spectral radius of a nonnegative matrix: the largest eigenvalue
     modulus. Exact up to rounding for periodic matrices too."""
-    values = m.values if isinstance(m, MeanMatrix) else np.asarray(m, dtype=np.float64)
+    values = np.asarray(m, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError("matrix must be square")
     if np.any(values < 0):

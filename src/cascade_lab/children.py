@@ -51,35 +51,21 @@ def allowed_child_types(origin_cs: int, n_systems: int) -> frozenset[int]:
     return frozenset(j for j in range(n_systems) if j != origin_cs) | {n_systems + origin_cs}
 
 
-@dataclass(frozen=True, eq=False)
-class SizeBiasedPmf:
-    """Internal degree law of a randomly selected internal neighbor:
-    w(d) proportional to d * p(d), normalized by the mean degree."""
-
-    support: np.ndarray
-    mass: np.ndarray
-
-    @classmethod
-    def from_marginal(cls, p: MarginalPmf) -> "SizeBiasedPmf":
-        weights = p.support.astype(np.float64) * p.mass
-        mean = weights.sum()
-        if mean <= 0.0:
-            raise ZeroInternalDegreeError("marginal has zero mean degree")
-        keep = weights > 0.0
-        return cls(_frozen(p.support[keep].copy()), _frozen(weights[keep] / mean))
-
-    def expectation(self, fn: Callable[[int], float]) -> float:
-        return float(sum(m * fn(int(d)) for d, m in zip(self.support, self.mass)))
-
-
 def internal_vulnerability(p_ii: MarginalPmf, profile: VulnerabilityProfile) -> float:
     """Probability that a randomly chosen internal neighbor is vulnerable.
 
     Averages the vulnerability profile under the size-biased internal degree
-    law. Raises ZeroInternalDegreeError when the mean internal degree is 0.
+    law w(d) = d p(d) / E[D]. Raises ZeroInternalDegreeError when the mean
+    internal degree is 0.
     """
-    w = SizeBiasedPmf.from_marginal(p_ii)
-    value = w.expectation(profile)
+    weights = p_ii.support.astype(np.float64) * p_ii.mass
+    mean = weights.sum()
+    if mean <= 0.0:
+        raise ZeroInternalDegreeError("marginal has zero mean degree")
+    keep = weights > 0.0
+    value = float(
+        sum(m * profile(int(d)) for d, m in zip(p_ii.support[keep], weights[keep] / mean))
+    )
     return min(1.0, max(0.0, value))
 
 
@@ -139,6 +125,8 @@ class OffspringLaw:
 
     def __post_init__(self):
         n = self.n_systems
+        if n < 2:
+            raise PmfError("a law needs n_systems >= 2")
         support = np.array(self.support, dtype=np.int64)
         mass = np.array(self.mass, dtype=np.float64)
         thinning = np.array(self.thinning, dtype=np.float64)

@@ -8,7 +8,8 @@ vulnerability profile per CS. Degrees are integers in [0, 2**63). Every
 other number is a JSON number that is finite as a double: NaN, +-inf, bools,
 strings and integers beyond double range are format errors. ``load_model``
 always validates: each pmf's masses must sum to 1 within ``pmf.MASS_TOL``
-(1e-12) in double precision.
+(1e-12) in double precision. Files are read and written as UTF-8, as JSON
+requires, whatever the locale.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def load_model(path: str | Path) -> SystemModel:
     OSError from reading the file passes through.
     """
     try:
-        document = json.loads(Path(path).read_text())
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError:
         raise
     except ValueError as exc:  # text that is not UTF-8, or an over-long integer literal
@@ -219,7 +220,8 @@ def serialize_model(model: SystemModel) -> dict:
 
 
 def save_model(model: SystemModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(serialize_model(model), indent=2, sort_keys=True) + "\n")
+    text = json.dumps(serialize_model(model), indent=2, sort_keys=True) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def fixture_path(name: str) -> Path:

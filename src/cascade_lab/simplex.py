@@ -12,9 +12,9 @@ definiteness that triggers the ridge retry; both Newton directions are then
 The answer is reported as two bounds on the optimum that do not depend on
 the solver having converged:
 
-* ``lower = -||c + S^T lam||_1`` for the multipliers lam >= 0 of the S rows,
-  a lower bound for every such lam by weak duality (the box turns the dual
-  into an l1 norm);
+* ``lower = -||c + S^T lam||_1`` for the solver's own multipliers lam >= 0
+  of the S rows at the last iterate, a lower bound for every such lam by weak
+  duality (the box turns the dual into an l1 norm);
 * ``upper = c.xi`` for the iterate clipped to the box, counted only when
   ``max(S xi) <= CONE_TOL``, and +inf otherwise.
 
@@ -118,8 +118,7 @@ def solve_lp(c, S) -> LpResult:
         a_d = min(1.0, _STEP_FRACTION * _max_step(y, dy))
         x, v, y = x + a_p * dx, v + a_p * dv, y + a_d * dy
 
-    lam, slack = y[:m], v[:m]
-    lower = max(_lower_bound(c, S, lam), _lower_bound(c, S, _polish(c, S, slack, lam)))
+    lower = _lower_bound(c, S, y[:m])
     x = np.clip(x, -1.0, 1.0)
     feasible = float((S @ x).max(initial=0.0)) <= CONE_TOL
     upper = float(c @ x) if feasible else math.inf
@@ -180,13 +179,3 @@ def _lower_bound(c: np.ndarray, S: np.ndarray, lam: np.ndarray) -> float:
     """Weak-duality bound -||c + S^T lam||_1, valid for any lam >= 0."""
     return -float(np.abs(c + S.T @ lam).sum())
 
-
-def _polish(c: np.ndarray, S: np.ndarray, s: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Multipliers that solve S^T lam = -c in least squares on the rows the
-    interior point regards as active (slack below multiplier), clipped at 0."""
-    active = s < lam
-    polished = np.zeros_like(lam)
-    if active.any():
-        sol = np.linalg.lstsq(S[active].T, -c, rcond=None)[0]
-        polished[active] = np.maximum(sol, 0.0)
-    return polished

@@ -70,7 +70,7 @@ def test_criterion_1_example1_reproduction(model_p1, model_p2):
 
     assert poe1.values == pytest.approx(MU_P1, abs=5e-4)
     assert poe2.values == pytest.approx(MU_P2, abs=5e-4)
-    assert np.allclose(mm.values, EXAMPLE1_M, atol=1e-9)
+    assert np.allclose(mm, EXAMPLE1_M, atol=1e-9)
     assert is_positively_regular(mm)
     assert poe1.spectral_radius_value == pytest.approx(1.021, abs=1e-3)
     assert 1.0 - poe1.values[0] == pytest.approx(0.0354, abs=5e-4)

@@ -1,7 +1,5 @@
 """Mean matrix, criticality, and the extinction fixed point."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -15,8 +13,9 @@ from cascade_lab import (
     solve_extinction,
     spectral_radius,
 )
-from cascade_lab.branching import MeanMatrix, _gf_vector
+from cascade_lab.branching import _gf_vector
 from cascade_lab.children import OffspringLaw, build_children
+from cascade_lab.pmf import PmfError
 
 from conftest import (
     MU_P1,
@@ -56,28 +55,33 @@ class TestMeanMatrix:
     def test_example1_matrix(self, model_p1, model_p2):
         for model in (model_p1, model_p2):
             mm = mean_matrix(build_children(model))
-            assert np.allclose(mm.values, EXAMPLE1_M, atol=1e-9)
+            assert np.allclose(mm, EXAMPLE1_M, atol=1e-9)
 
     def test_zero_children_give_zero_matrix(self):
         mm = mean_matrix(zero_children(2))
-        assert np.all(mm.values == 0.0)
+        assert np.all(mm == 0.0)
+
+    def test_read_only_float_array(self, model_p1):
+        mm = mean_matrix(build_children(model_p1))
+        assert isinstance(mm, np.ndarray) and mm.dtype == np.float64
+        with pytest.raises(ValueError):
+            mm[0, 0] = 1.0
 
     def test_structural_zero_enforcement(self):
-        bad = EXAMPLE1_M.copy()
-        bad[0, 0] = 0.1
-        with pytest.raises(ValueError):
-            MeanMatrix(bad)
-        bad = EXAMPLE1_M.copy()
-        bad[0, 3] = 0.1
-        with pytest.raises(ValueError):
-            MeanMatrix(bad)
+        # Entries (0, 0) and (0, 3) of the mean matrix are structural zeros:
+        # a law with such a child does not construct.
+        for child in (0, 3):
+            vec = [0, 1, 1, 0]
+            vec[child] = 1
+            with pytest.raises(PmfError, match="must vanish outside"):
+                point_children(0, 2, vec)
 
     def test_infected_row_shares_external_entries(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             model = random_model(rng, dependent=True)
             n = model.n_systems
-            mm = mean_matrix(build_children(model)).values
+            mm = mean_matrix(build_children(model))
             for i in range(n):
                 for j in range(n):
                     if j != i:
@@ -86,20 +90,21 @@ class TestMeanMatrix:
 
     def test_forbidden_child_of_infected_type(self):
         # Type 2 is an infected CS-0 agent; a type-3 child (infected CS-1) is
-        # forbidden for it exactly as for the fresh CS-0 type in row 0. The
-        # OffspringLaw constructor rejects such a law, so a stand-in carrying
-        # only what mean_matrix reads brings the row to the matrix check.
+        # forbidden for it exactly as for the fresh CS-0 type.
         for row in (0, 2):
-            laws = [
-                OffspringLaw(t, 2, np.zeros((1, 4), dtype=np.int64), np.array([1.0]), np.ones(4))
-                for t in range(4)
-            ]
-            laws[row] = SimpleNamespace(
-                origin_type=row, n_types=4, mean=lambda: np.array([0.0, 0.0, 0.0, 1.0])
-            )
-            message = rf"entry \({row}, 3\) must be a structural zero"
-            with pytest.raises(ValueError, match=message):
-                mean_matrix(laws)
+            with pytest.raises(PmfError, match=r"type \d children must vanish outside"):
+                point_children(row, 2, [0, 0, 0, 1])
+
+    def test_infected_internal_mean_above_fresh_rejected(self):
+        laws = zero_children(2)
+        laws[1] = point_children(1, 2, [0, 0, 0, 1])
+        laws[3] = point_children(3, 2, [0, 0, 0, 2])
+        with pytest.raises(ValueError, match="internal children mean of type 3 exceeds"):
+            mean_matrix(laws)
+
+    def test_single_system_law_rejected(self):
+        with pytest.raises(PmfError, match="n_systems >= 2"):
+            point_children(0, 1, [0, 1])
 
 
 class TestPositiveRegularity:

@@ -13,7 +13,6 @@ from cascade_lab import (
 )
 from cascade_lab.children import (
     OffspringLaw,
-    SizeBiasedPmf,
     ZeroInternalDegreeError,
     build_children,
     check_vulnerability_scaling,
@@ -28,15 +27,24 @@ from conftest import brute_force_children, random_model
 
 
 class TestSizeBiased:
+    """The size-biased internal degree law w(d) = d p(d) / E[D], read off
+    ``internal_vulnerability`` with indicator profiles."""
+
     def test_weights_proportional_to_degree(self):
         p = MarginalPmf(np.array([0, 1, 2, 3]), np.array([0.5, 0.15, 0.2, 0.15]))
-        w = SizeBiasedPmf.from_marginal(p)
-        assert w.support.tolist() == [1, 2, 3]
-        assert w.mass == pytest.approx([0.15, 0.4, 0.45], abs=1e-12)
+        weights = []
+        for d in (1, 2, 3):
+            # No table entry for degree 0: the law must not put weight there.
+            table = {1: 0.0, 2: 0.0, 3: 0.0, d: 1.0}
+            phi = VulnerabilityProfile(kind="table", table=table)
+            weights.append(internal_vulnerability(p, phi))
+        assert weights == pytest.approx([0.15, 0.4, 0.45], abs=1e-12)
 
     def test_zero_mean_degree(self):
         with pytest.raises(ZeroInternalDegreeError):
-            SizeBiasedPmf.from_marginal(MarginalPmf(np.array([0]), np.array([1.0])))
+            internal_vulnerability(
+                MarginalPmf(np.array([0]), np.array([1.0])), constant_profile(1.0)
+            )
 
 
 class TestInternalVulnerability:

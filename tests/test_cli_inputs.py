@@ -182,3 +182,46 @@ def test_simulate_bp_degree_1029_runs(tmp_path, capsys):
 
     assert main(["simulate-bp", _edited_p1(tmp_path, edit), "--trials", "10"]) == 0
     assert capsys.readouterr().out.startswith("extinction estimate")
+
+
+def test_compare_means_one_millionth_apart_are_unequal(tmp_path, capsys):
+    """Moving 1e-6 of CS-0 mass one internal degree up gives internal means
+    1.0 and 1.000001: inside a relative tolerance of 1e-5, but not equal
+    within ORDER_ATOL, so the equal-means idcv hypothesis cannot hold."""
+
+    def edit(doc):
+        entries = doc["degree_dists"][0]["entries"]
+        assert entries[0][0] == [0, 0] and entries[4][0] == [1, 0]
+        entries[0][1] -= 1e-6
+        entries[4][1] += 1e-6
+
+    path = _edited_p1(tmp_path, edit)
+    assert main(["compare", str(fixture_path("example1_p1")), path, "--json"]) == 0
+    idcv = json.loads(capsys.readouterr().out)["hypotheses"][2]
+    assert idcv["rows"][-1]["means_equal"] is False
+    assert idcv["holds"] is False
+
+
+def test_utf8_model_file_under_ascii_locale(tmp_path):
+    """A model file is UTF-8 JSON whatever the locale: a non-ASCII model name
+    loads under the C locale with UTF-8 mode off."""
+    doc = json.loads(fixture_path("example1_p1").read_text(encoding="utf-8"))
+    doc["name"] = "Réseau α"
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    env = dict(
+        os.environ,
+        PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
+        PYTHONUTF8="0",
+        PYTHONCOERCECLOCALE="0",
+        LC_ALL="C",
+        PYTHONIOENCODING="utf-8",
+    )
+    script = "import sys\nfrom cascade_lab.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    for argv in (["solve", str(path)], ["solve", str(path), "--json"], ["validate", str(path)]):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr.decode("utf-8")
+        if argv[-1] == "--json":
+            assert json.loads(proc.stdout.decode("utf-8"))["model"] == "Réseau α"

@@ -86,7 +86,7 @@ class TestJacobian:
             gf, jacobian = _gf_map(laws)
             n = laws[0].n_types
             np.testing.assert_allclose(
-                jacobian(np.ones(n)), mean_matrix(laws).values, rtol=0, atol=1e-12
+                jacobian(np.ones(n)), mean_matrix(laws), rtol=0, atol=1e-12
             )
             s, h = rng.uniform(0.1, 0.9, n), 1e-6
             central = np.stack(
