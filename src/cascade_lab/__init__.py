@@ -11,7 +11,6 @@ from .pmf import (
     marginal,
     mean_vector,
     product_pmf,
-    truncated_marginal,
 )
 from .model import (
     SystemModel,
@@ -25,15 +24,11 @@ from .children import (
     OffspringLaw,
     build_children,
     check_vulnerability_scaling,
-    children_distribution_fresh,
-    children_distribution_infected,
-    inter_cs_infection_prob,
     internal_vulnerability,
     offspring_laws,
 )
 from .branching import (
     PoEVector,
-    cascade_probability,
     extinction_probabilities,
     is_positively_regular,
     mean_matrix,

@@ -127,10 +127,6 @@ def _gf_map(children: Sequence[OffspringLaw]):
     return gf, jacobian
 
 
-def _gf_vector(children: Sequence[OffspringLaw], s: np.ndarray) -> np.ndarray:
-    return _gf_map(children)[0](s)
-
-
 @dataclass(frozen=True)
 class PoEVector:
     """Per-type die-out probabilities with solver metadata.
@@ -218,11 +214,3 @@ def extinction_probabilities(model: SystemModel) -> PoEVector:
     """Die-out probabilities of the cascade seeded in each type of ``model``."""
     return solve_extinction(offspring_laws(model))
 
-
-def cascade_probability(model: SystemModel, seed_cs: int) -> float:
-    """Probability that a single random failure in CS ``seed_cs`` sets off an
-    unending cascade (one minus the die-out probability of the fresh type)."""
-    if not 0 <= seed_cs < model.n_systems:
-        raise IndexError(f"seed_cs {seed_cs} out of range")
-    poe = extinction_probabilities(model)
-    return float(1.0 - poe.values[seed_cs])

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Mapping
 
 import numpy as np
 
@@ -67,27 +66,6 @@ def internal_vulnerability(p_ii: MarginalPmf, profile: VulnerabilityProfile) -> 
         sum(m * profile(int(d)) for d, m in zip(p_ii.support[keep], weights[keep] / mean))
     )
     return min(1.0, max(0.0, value))
-
-
-def inter_cs_infection_prob(
-    chi: MarginalPmf, eta: Mapping[int, float] | Callable[[int], float]
-) -> float:
-    """Transmission probability from an incoming-degree infection model.
-
-    ``chi`` is the law of the number of supporting agents a dependent has in
-    the failing CS (supported on d >= 1) and ``eta(d)`` the infection
-    probability given d supporters; the result is the eta-average under chi.
-    """
-    if np.any(chi.support < 1):
-        raise PmfError("incoming-degree law must be supported on d >= 1")
-    get = eta.__getitem__ if isinstance(eta, Mapping) else eta
-    total = 0.0
-    for d, m in zip(chi.support, chi.mass):
-        value = float(get(int(d)))
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"eta({int(d)}) = {value!r} outside [0, 1]")
-        total += float(m) * value
-    return total
 
 
 def _binomial_row(n: int, q: float) -> np.ndarray:
@@ -236,17 +214,6 @@ def offspring_laws(model: SystemModel) -> list[OffspringLaw]:
     each CS's thinning is computed once, for both of its types."""
     fresh = [offspring_law(model, cs) for cs in range(model.n_systems)]
     return fresh + [_infected(law) for law in fresh]
-
-
-def children_distribution_fresh(model: SystemModel, cs: int) -> OffspringLaw:
-    """Exact offspring law of a freshly failed CS-``cs`` agent."""
-    return offspring_law(model, cs).children()
-
-
-def children_distribution_infected(model: SystemModel, cs: int) -> OffspringLaw:
-    """Exact offspring law of a CS-``cs`` agent infected through an internal
-    neighbor: one internal potential child is removed before thinning."""
-    return offspring_law(model, model.n_systems + cs).children()
 
 
 def build_children(model: SystemModel) -> list[OffspringLaw]:

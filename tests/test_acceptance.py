@@ -11,7 +11,6 @@ import pytest
 
 from cascade_lab import (
     SystemModel,
-    cascade_probability,
     correlation,
     entropy_bits,
     extinction_probabilities,
@@ -25,8 +24,7 @@ from cascade_lab import (
 from cascade_lab.children import (
     build_children,
     check_vulnerability_scaling,
-    children_distribution_fresh,
-    children_distribution_infected,
+    offspring_law,
     offspring_laws,
 )
 from cascade_lab.branching import solve_extinction
@@ -86,7 +84,7 @@ def test_criterion_1_example1_reproduction(model_p1, model_p2):
 def test_criterion_2_example2_reproduction(model_p1, model_p2, model_p3):
     poe3 = extinction_probabilities(model_p3)
     assert poe3.values == pytest.approx(MU_P3, abs=5e-4)
-    assert cascade_probability(model_p3, 0) == pytest.approx(0.0396, abs=5e-4)
+    assert 1.0 - poe3.values[0] == pytest.approx(0.0396, abs=5e-4)
     assert correlation(model_p3.degree_dists[0], 0, 1) == pytest.approx(0.0368, abs=5e-4)
     # Direction as documented: the commonly quoted 0.0094 is the divergence of
     # the correlated table FROM the independent one.
@@ -243,12 +241,9 @@ def test_criterion_5_oracle_equivalence():
     for _ in range(100):
         model = random_model(rng, max_degree=3, dependent=bool(rng.integers(0, 2)))
         cs = int(rng.integers(0, model.n_systems))
-        for drop, builder in [
-            (False, children_distribution_fresh),
-            (True, children_distribution_infected),
-        ]:
+        for drop in (False, True):
             expected = brute_force_children(model, cs, drop_internal=drop)
-            got = builder(model, cs).as_dict()
+            got = offspring_law(model, cs + drop * model.n_systems).children().as_dict()
             assert set(got) == set(expected)
             for key, value in expected.items():
                 assert abs(got[key] - value) <= 1e-12

@@ -6,14 +6,13 @@ import pytest
 from cascade_lab import (
     JointPmf,
     SystemModel,
-    cascade_probability,
     extinction_probabilities,
     is_positively_regular,
     mean_matrix,
     solve_extinction,
     spectral_radius,
 )
-from cascade_lab.branching import _gf_vector
+from cascade_lab.branching import _gf_map
 from cascade_lab.children import OffspringLaw, build_children
 from cascade_lab.pmf import PmfError
 
@@ -215,18 +214,19 @@ class TestExtinctionProbabilities:
 
 
 class TestCascadeProbability:
+    """One minus the die-out probability of the fresh CS-0 type."""
+
     def test_example1(self, model_p1):
-        assert cascade_probability(model_p1, 0) == pytest.approx(0.0354, abs=5e-4)
+        poe = extinction_probabilities(model_p1)
+        assert 1.0 - poe.values[0] == pytest.approx(0.0354, abs=5e-4)
 
     def test_example1_p2(self, model_p2):
-        assert cascade_probability(model_p2, 0) == pytest.approx(0.0414, abs=5e-4)
+        poe = extinction_probabilities(model_p2)
+        assert 1.0 - poe.values[0] == pytest.approx(0.0414, abs=5e-4)
 
     def test_example2_p3(self, model_p3):
-        assert cascade_probability(model_p3, 0) == pytest.approx(0.0396, abs=5e-4)
-
-    def test_seed_out_of_range(self, model_p1):
-        with pytest.raises(IndexError):
-            cascade_probability(model_p1, 2)
+        poe = extinction_probabilities(model_p3)
+        assert 1.0 - poe.values[0] == pytest.approx(0.0396, abs=5e-4)
 
 
 class TestComparisonOracle:
@@ -252,7 +252,7 @@ class TestComparisonOracle:
             poe_a = solve_extinction(children_a)
             if not poe_a.converged:
                 continue
-            fb_at_mu_a = _gf_vector(children_b, poe_a.values)
+            fb_at_mu_a = _gf_map(children_b)[0](poe_a.values)
             if np.all(fb_at_mu_a >= poe_a.values - 1e-12):
                 poe_b = solve_extinction(children_b)
                 assert np.all(poe_b.values >= poe_a.values - 1e-9)

@@ -16,10 +16,8 @@ from cascade_lab.children import (
     ZeroInternalDegreeError,
     build_children,
     check_vulnerability_scaling,
-    children_distribution_fresh,
-    children_distribution_infected,
-    inter_cs_infection_prob,
     internal_vulnerability,
+    offspring_law,
 )
 from cascade_lab.pmf import MarginalPmf, PmfError, marginal, mean_vector
 
@@ -64,26 +62,6 @@ class TestInternalVulnerability:
         assert internal_vulnerability(p, phi) == pytest.approx(expected, abs=1e-12)
 
 
-class TestInterCsInfection:
-    def test_single_supporter_indicator(self):
-        chi = MarginalPmf(np.array([1, 2, 3]), np.array([0.4, 0.35, 0.25]))
-        eta = {1: 1.0, 2: 0.0, 3: 0.0}
-        assert inter_cs_infection_prob(chi, eta) == pytest.approx(0.4)
-
-    def test_constant_eta_is_one(self):
-        chi = MarginalPmf(np.array([1, 4]), np.array([0.5, 0.5]))
-        assert inter_cs_infection_prob(chi, lambda d: 1.0) == pytest.approx(1.0)
-
-    def test_two_term_sum(self):
-        chi = MarginalPmf(np.array([1, 2]), np.array([0.3, 0.7]))
-        assert inter_cs_infection_prob(chi, {1: 1.0, 2: 0.5}) == pytest.approx(0.65)
-
-    def test_rejects_degree_zero_support(self):
-        chi = MarginalPmf(np.array([0, 1]), np.array([0.5, 0.5]))
-        with pytest.raises(PmfError):
-            inter_cs_infection_prob(chi, lambda d: 1.0)
-
-
 class TestChildrenFresh:
     def test_identity_thinning_point_mass(self):
         model = SystemModel(
@@ -95,13 +73,13 @@ class TestChildrenFresh:
             vulnerability=(constant_profile(1.0), constant_profile(1.0)),
             internal_degree_floor=False,
         )
-        h = children_distribution_fresh(model, 0)
+        h = offspring_law(model, 0).children()
         # Type order (cs0 fresh, cs1 fresh, cs0 infected, cs1 infected):
         # both internal neighbors become infected-type children.
         assert h.as_dict() == {(0, 1, 2, 0): 1.0}
 
     def test_example1_children_means(self, model_p1):
-        h = children_distribution_fresh(model_p1, 0)
+        h = offspring_law(model_p1, 0).children()
         means = h.mean()
         assert means[1] == pytest.approx(0.35, abs=1e-9)
         assert means[2] == pytest.approx(1.00, abs=1e-9)
@@ -116,7 +94,7 @@ class TestChildrenFresh:
             vulnerability=(constant_profile(1.0), constant_profile(1.0)),
             internal_degree_floor=False,
         )
-        h = children_distribution_fresh(model, 0)
+        h = offspring_law(model, 0).children()
         assert h.as_dict() == pytest.approx(
             {(0, 0, 1, 0): 0.25, (0, 1, 1, 0): 0.25, (0, 0, 2, 0): 0.5}
         )
@@ -124,7 +102,7 @@ class TestChildrenFresh:
 
 class TestChildrenInfected:
     def test_example1_infected_means(self, model_p1):
-        h = children_distribution_infected(model_p1, 0)
+        h = offspring_law(model_p1, 2).children()
         means = h.mean()
         assert means[2] == pytest.approx(0.50, abs=1e-9)
         assert means[1] == pytest.approx(0.35, abs=1e-9)
@@ -138,7 +116,7 @@ class TestChildrenInfected:
             infection=[[np.nan, 1.0], [1.0, np.nan]],
             vulnerability=(constant_profile(1.0), constant_profile(1.0)),
         )
-        h = children_distribution_infected(model, 0)
+        h = offspring_law(model, 2).children()
         assert h.as_dict() == {(0, 0, 0, 0): 1.0}
 
     def test_internal_deficiency_maps_to_zero(self):
@@ -153,7 +131,7 @@ class TestChildrenInfected:
             vulnerability=(constant_profile(1.0), constant_profile(1.0)),
             internal_degree_floor=False,
         )
-        h = children_distribution_infected(model, 0)
+        h = offspring_law(model, 2).children()
         assert h.as_dict() == pytest.approx({(0, 1, 0, 0): 0.5, (0, 0, 1, 0): 0.5})
 
 
@@ -216,12 +194,9 @@ class TestOracleEquivalence:
         for trial in range(25):
             model = random_model(rng, max_degree=3, dependent=bool(trial % 2))
             cs = int(rng.integers(0, model.n_systems))
-            for drop, builder in [
-                (False, children_distribution_fresh),
-                (True, children_distribution_infected),
-            ]:
+            for drop in (False, True):
                 expected = brute_force_children(model, cs, drop_internal=drop)
-                got = builder(model, cs).as_dict()
+                got = offspring_law(model, cs + drop * model.n_systems).children().as_dict()
                 assert set(got) == set(expected)
                 for key, value in expected.items():
                     assert got[key] == pytest.approx(value, abs=1e-12)
@@ -236,11 +211,11 @@ class TestOracleEquivalence:
             for cs in range(n):
                 probs = thinning_probabilities(model, cs)
                 means = mean_vector(model.degree_dists[cs])
-                fresh = children_distribution_fresh(model, cs).mean()
+                fresh = offspring_law(model, cs).children().mean()
                 for j in range(n):
                     target = n + cs if j == cs else j
                     assert fresh[target] == pytest.approx(probs[j] * means[j], abs=1e-10)
-                infected = children_distribution_infected(model, cs).mean()
+                infected = offspring_law(model, n + cs).children().mean()
                 internal = marginal(model.degree_dists[cs], cs)
                 drop_mean = sum(
                     m * max(int(d) - 1, 0) for d, m in zip(internal.support, internal.mass)
@@ -259,7 +234,7 @@ class TestOracleEquivalence:
             )
             for cs in range(2):
                 internal_mean = mean_vector(model.degree_dists[cs])[cs]
-                infected = children_distribution_infected(model, cs).mean()
+                infected = offspring_law(model, 2 + cs).children().mean()
                 assert infected[2 + cs] == pytest.approx(internal_mean - 1.0, abs=1e-10)
 
 
@@ -269,7 +244,7 @@ class TestSupportGuard:
 
         monkeypatch.setattr(children_mod, "MAX_SUPPORT_POINTS", 5)
         with pytest.raises(children_mod.SupportExplosionError):
-            children_distribution_fresh(model_p1, 0)
+            offspring_law(model_p1, 0).children()
 
 
 class TestVulnerabilityScaling:

@@ -9,7 +9,6 @@ import pytest
 from cascade_lab import JointPmf, SystemModel, VulnerabilityProfile, save_model
 from cascade_lab.branching import (
     _gf_map,
-    _gf_vector,
     extinction_probabilities,
     mean_matrix,
     solve_extinction,
@@ -123,7 +122,7 @@ class TestResidual:
         laws = offspring_laws(periodic_model())
         poe = solve_extinction(laws)
         assert poe.converged
-        assert np.max(np.abs(_gf_vector(laws, poe.values) - poe.values)) <= 1e-12
+        assert np.max(np.abs(_gf_map(laws)[0](poe.values) - poe.values)) <= 1e-12
 
     def test_cli_reports_residual_of_printed_poe(self, tmp_path, capsys):
         path = tmp_path / "periodic.json"
@@ -131,7 +130,7 @@ class TestResidual:
         assert main(["solve", str(path), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         poe = np.array(report["poe"])
-        residual = np.max(np.abs(_gf_vector(offspring_laws(periodic_model()), poe) - poe))
+        residual = np.max(np.abs(_gf_map(offspring_laws(periodic_model()))[0](poe) - poe))
         assert report["residual"] == residual
 
     @pytest.mark.parametrize("seed", range(24))
@@ -142,7 +141,7 @@ class TestResidual:
         if abs(poe.spectral_radius_value - 1.0) <= 0.02:
             pytest.skip("near-critical: the plain iteration is too slow to serve as oracle")
         assert poe.converged
-        assert np.max(np.abs(_gf_vector(laws, poe.values) - poe.values)) <= 1e-14
+        assert np.max(np.abs(_gf_map(laws)[0](poe.values) - poe.values)) <= 1e-14
         np.testing.assert_allclose(poe.values, plain_iteration(laws), rtol=0, atol=1e-9)
 
 

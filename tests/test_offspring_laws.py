@@ -17,14 +17,13 @@ from cascade_lab import (
     JointPmf,
     SystemModel,
     VulnerabilityProfile,
-    cascade_probability,
     extinction_probabilities,
     fixture_path,
     load_fixture,
     offspring_laws,
     save_model,
 )
-from cascade_lab.branching import _gf_vector, solve_extinction
+from cascade_lab.branching import _gf_map, solve_extinction
 from cascade_lab.children import OffspringLaw, build_children
 from cascade_lab.cli import main
 
@@ -67,7 +66,7 @@ class TestClosedFormMatchesEnumeration:
                     assert abs(law.gf(s) - h.gf(s)) <= 1e-12
             for s in points:
                 np.testing.assert_allclose(
-                    _gf_vector(laws, s), _gf_vector(enumerated, s), rtol=0, atol=1e-12
+                    _gf_map(laws)[0](s), _gf_map(enumerated)[0](s), rtol=0, atol=1e-12
                 )
 
     def test_batch_evaluation_matches_pointwise(self, model_p1):
@@ -109,7 +108,7 @@ class TestAnalyticPathNeverEnumerates:
     def test_library_entry_points(self, no_enumeration, model_p1):
         poe = extinction_probabilities(model_p1)
         assert poe.converged
-        assert cascade_probability(model_p1, 0) == pytest.approx(0.0354, abs=5e-4)
+        assert 1.0 - poe.values[0] == pytest.approx(0.0354, abs=5e-4)
 
     def test_cli_solve_and_compare(self, no_enumeration, capsys):
         p1 = str(fixture_path("example1_p1"))
@@ -146,8 +145,8 @@ class TestPeriodicMeanMatrix:
         laws = offspring_laws(periodic_model())
         # Newton stops at rounding level here: the printed die-outs are a
         # fixed point to 1e-12, and the reported residual is that distance.
-        assert np.max(np.abs(_gf_vector(laws, poe) - poe)) <= 2 * report["residual"]
-        np.testing.assert_allclose(_gf_vector(laws, poe), poe, rtol=0, atol=1e-12)
+        assert np.max(np.abs(_gf_map(laws)[0](poe) - poe)) <= 2 * report["residual"]
+        np.testing.assert_allclose(_gf_map(laws)[0](poe), poe, rtol=0, atol=1e-12)
 
 
 # Subcritical laws whose masses sum to 1 + 5e-11, inside the constructor

@@ -16,7 +16,6 @@ from cascade_lab.pmf import (
     marginal,
     mean_vector,
     product_pmf,
-    truncated_marginal,
 )
 
 from conftest import TABLE_P1, TABLE_P2, TABLE_P3
@@ -193,22 +192,3 @@ class TestConsistencyProperties:
             assert kl >= 0.0
             if np.max(np.abs(other.mass - joint.mass)) > 1e-6:
                 assert kl > 0.0
-
-
-class TestTruncation:
-    def test_renormalizes_and_warns(self):
-        lam = 2.0
-        with pytest.warns(UserWarning):
-            m = truncated_marginal(
-                lambda d: math.exp(-lam) * lam**d / math.factorial(d), d_max=4
-            )
-        assert m.is_normalized(1e-12)
-        assert m.support.tolist() == [0, 1, 2, 3, 4]
-
-    def test_exact_family_does_not_warn(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            m = truncated_marginal(lambda d: 0.25, d_max=3)
-        assert m.mass == pytest.approx([0.25] * 4)
